@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Watch SRUMMA's double-buffered pipeline in action (paper Fig. 3).
 
-Runs a small multiply on one rank-pair-heavy configuration with event
-tracing enabled, then prints a text timeline for one rank: when each
-nonblocking get was issued, when the rank blocked waiting, and when each
-dgemm ran.  The point to see: get ``t+1`` is in flight while dgemm ``t``
+Runs a small multiply on one rank-pair-heavy configuration, wrapping one
+rank's wait and dgemm calls, then prints a text timeline for that rank:
+when it blocked waiting for its nonblocking gets, and when each dgemm
+ran.  The point to see: get ``t+1`` is in flight while dgemm ``t``
 computes, so wait times collapse after the pipeline fills.
 
     python examples/pipeline_trace.py
@@ -28,7 +28,7 @@ def main() -> None:
     a_ref = rng.standard_normal((N, N))
     b_ref = rng.standard_normal((N, N))
 
-    tracer = Tracer(record_events=False)
+    tracer = Tracer()
     machine = Machine(LINUX_MYRINET, P, tracer=tracer)
     timeline: list[tuple[float, float, str]] = []
 

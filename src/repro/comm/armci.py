@@ -124,18 +124,6 @@ class ArmciRuntime:
         machine.on_node_crash(self._node_crashed)
 
     # -- hard-failure handling ---------------------------------------------
-    def _track_inflight(self, caller: int, target: int,
-                        req: "Request") -> "Request":
-        faults = self.machine.faults
-        if faults is None or not getattr(faults, "has_crashes", False):
-            return req
-        if req.done.triggered:
-            return req
-        self._inflight[req.done] = (caller, target, req)
-        done = req.done
-        done.add_callback(lambda _ev: self._inflight.pop(done, None))
-        return req
-
     def _node_crashed(self, node: int) -> None:
         """Sweep in-flight operations touching the dead node.
 
@@ -213,18 +201,60 @@ class ArmciRuntime:
         cap = Link("memcpy-stream", self.machine.spec.memory.copy_bandwidth)
         return [cap] + self.machine.shmem_path(src_rank, dst_rank)
 
-    def get_transfer(self, caller: int, target: int, nbytes: float,
-                     deliver: Callable[[], None] = _noop,
-                     segments: int = 1, reliable: bool = False,
-                     failable: bool = True) -> Request:
-        """Timing core of a get: ``deliver`` runs right before completion.
+    def _redirect(self, caller: int, target: int, counter: str) -> int:
+        """The rank whose links serve a transfer ``caller`` aims at ``target``.
 
-        ``segments`` > 1 charges the strided-transfer descriptor cost
-        (``sg_overhead`` per extra segment) on remote-domain paths.
+        When the target is *believed* dead (oracle truth without a
+        detector, the caller's membership view with one) the transfer is
+        served by a replica shard: timing and contention follow the
+        replica's links, while the payload still moves through the
+        registry, which models the replica's identical copy.  Spreading by
+        caller declusters reconstruction reads (and the checkpoint and
+        write-back puts that keep working after a buddy dies) across live
+        nodes.
+        """
+        machine = self.machine
+        if ((machine.dead_nodes or machine.membership is not None)
+                and machine.presumed_dead(caller, target)):
+            target = machine.replica_for(caller, target, spread=caller)
+            machine.tracer.bump(counter)
+        return target
+
+    def _register(self, caller: int, target: int, done: Event, kind: str,
+                  nbytes: float, cancel: Optional[Callable[[], None]] = None,
+                  corrupted: bool = False) -> Request:
+        """The :class:`Request` for a transfer whose completion is ``done``.
+
+        ``cancel`` tears the transport down (aborts the flow or interrupts
+        the protocol process).  When the fault plan contains crashes, the
+        request is also tracked for the node-crash sweep until it
+        completes; otherwise there is no tracking overhead.
+        """
+        req = Request(done, kind=kind, nbytes=nbytes,
+                      issued_at=self.machine.engine.now)
+        req.corrupted = corrupted
+        req._cancel_hook = cancel
+        faults = self.machine.faults
+        if (faults is None or not getattr(faults, "has_crashes", False)
+                or done.triggered):
+            return req
+        self._inflight[done] = (caller, target, req)
+        done.add_callback(lambda _ev: self._inflight.pop(done, None))
+        return req
+
+    def _transfer(self, kind: str, caller: int, target: int, nbytes: float,
+                  deliver: Callable[[], None] = _noop, segments: int = 1,
+                  reliable: bool = False, failable: bool = True) -> Request:
+        """Timing core of a get (``kind="get"``, data flows target -> caller)
+        or a put (``kind="put"``, caller -> target); ``deliver`` runs right
+        before completion.
+
         Used by both the data-carrying and the byte-level facades, so the
-        two paths can never drift apart.
+        two paths can never drift apart.  ``segments`` > 1 charges a get
+        the strided-transfer descriptor cost (``sg_overhead`` per extra
+        segment) on remote-domain paths.
 
-        Fault-injection knobs (no-ops on a healthy machine):
+        Get-only fault-injection knobs (no-ops on a healthy machine):
 
         - ``reliable=True`` requests guaranteed delivery: the get uses the
           host-assisted blocking-copy protocol even on zero-copy NICs and
@@ -237,26 +267,23 @@ class ArmciRuntime:
         machine = self.machine
         engine = machine.engine
         spec = machine.spec
-        machine.tracer.bump("armci_get")
-        sg_extra = max(0, segments - 1) * spec.network.sg_overhead
-
-        if ((machine.dead_nodes or machine.membership is not None)
-                and machine.presumed_dead(caller, target)):
-            # The owner is *believed* dead (oracle truth without a
-            # detector, the caller's membership view with one): serve the
-            # get from a replica shard.  Timing and contention follow the
-            # replica's links; the payload is still read from the
-            # registry, which models the replica's identical copy.
-            # Spreading by caller declusters the reconstruction reads
-            # across live nodes.
-            target = machine.replica_for(caller, target, spread=caller)
-            machine.tracer.bump("fault:get_redirected")
+        net = spec.network
+        get = kind == "get"
+        machine.tracer.bump("armci_" + kind)
+        if get:
+            sg_extra = max(0, segments - 1) * net.sg_overhead
+            zc_latency = net.rma_latency + sg_extra
+            hc_latency = net.rma_latency / 2.0 + sg_extra
+        else:
+            zc_latency = hc_latency = net.latency
+        target = self._redirect(caller, target, f"fault:{kind}_redirected")
+        src, dst = (target, caller) if get else (caller, target)
 
         if machine.same_domain(caller, target):
-            # Intra-domain get: the calling CPU performs a memcpy through the
-            # node memory system (or NUMA fabric).  Contends max-min fairly
-            # with other copies.
-            done = engine.event("armci.get.shmem")
+            # Intra-domain transfer: the calling CPU performs a memcpy
+            # through the node memory system (or NUMA fabric).  Contends
+            # max-min fairly with other copies; no overlap is possible.
+            done = engine.event("armci.get.shmem" if get else "armci.put")
 
             def copier():
                 cpu = machine.cpu(caller)
@@ -269,9 +296,9 @@ class ArmciRuntime:
                         cpu.release()
                     return
                 flow = machine.transfer(
-                    nbytes, self._stream_path(target, caller),
+                    nbytes, self._stream_path(src, dst),
                     latency=spec.memory.shmem_latency,
-                    label=f"armci-get-shm {target}->{caller}")
+                    label=f"armci-{kind}-shm {src}->{dst}")
                 try:
                     yield flow
                 except Interrupt:
@@ -284,37 +311,33 @@ class ArmciRuntime:
                 if not done.triggered:
                     done.succeed(nbytes)
 
-            proc = engine.spawn(copier(), name=f"armci-shm-get@{caller}")
-            req = Request(done, kind="get", nbytes=nbytes, issued_at=engine.now)
-            req._cancel_hook = proc.interrupt
-            return self._track_inflight(caller, target, req)
+            proc = engine.spawn(copier(), name=f"armci-shm-{kind}@{caller}")
+            return self._register(caller, target, done, kind, nbytes,
+                                  proc.interrupt)
 
-        # Remote-domain get over the interconnect.
-        path = machine.network_path(target, caller)  # data flows target->caller
-        done = engine.event("armci.get.rma")
-
+        # Remote-domain transfer over the interconnect.
+        path = machine.network_path(src, dst)
+        done = engine.event("armci.get.rma" if get else "armci.put")
+        corrupted = False
         faults = machine.faults
-        if (faults is not None and failable and not reliable
-                and faults.draw_get_failure(caller)):
-            # Injected in-flight loss: no payload moves; the caller observes
-            # GetFailedError after the plan's detection delay.
-            machine.tracer.bump("fault:get_failed")
-            engine._schedule(
-                faults.plan.detect_timeout,
-                lambda: (done.fail(GetFailedError(caller, target, nbytes))
-                         if not done.triggered else None))
-            req = Request(done, kind="get", nbytes=nbytes, issued_at=engine.now)
-            return self._track_inflight(caller, target, req)
+        if get and faults is not None and failable and not reliable:
+            if faults.draw_get_failure(caller):
+                # Injected in-flight loss: no payload moves; the caller
+                # observes GetFailedError after the plan's detection delay.
+                machine.tracer.bump("fault:get_failed")
+                engine._schedule(
+                    faults.plan.detect_timeout,
+                    lambda: (done.fail(GetFailedError(caller, target, nbytes))
+                             if not done.triggered else None))
+                return self._register(caller, target, done, kind, nbytes)
+            corrupted = faults.draw_corruption(caller)
+            if corrupted:
+                machine.tracer.bump("fault:corruption_injected")
 
-        corrupted = (faults is not None and failable and not reliable
-                     and faults.draw_corruption(caller))
-        if corrupted:
-            machine.tracer.bump("fault:corruption_injected")
-
-        if spec.network.zero_copy and not reliable:
-            flow = machine.transfer(
-                nbytes, path, latency=spec.network.rma_latency + sg_extra,
-                label=f"armci-get {target}->{caller}")
+        if net.zero_copy and not reliable:
+            # The NIC moves the payload; neither host CPU is involved.
+            flow = machine.transfer(nbytes, path, latency=zc_latency,
+                                    label=f"armci-{kind} {src}->{dst}")
 
             def finish(_ev):
                 if done.triggered:
@@ -323,22 +346,21 @@ class ArmciRuntime:
                 done.succeed(nbytes)
 
             flow.add_callback(finish)
-            req = Request(done, kind="get", nbytes=nbytes, issued_at=engine.now)
-            req.corrupted = corrupted
-            req._cancel_hook = lambda: machine.net.abort(flow)
-            return self._track_inflight(caller, target, req)
+            return self._register(caller, target, done, kind, nbytes,
+                                  lambda: machine.net.abort(flow), corrupted)
 
-        # Host-assisted protocol: the request travels to the target, whose
-        # CPU copies user buffer -> DMA buffer *pipelined* with the wire
-        # transfer (chunked staging, as LAPI does): the transfer rate is
-        # capped by the host copy rate, and the target's CPU is occupied
-        # for the copy — stolen FIFO from whatever computation the target
-        # is doing (the Fig. 9 mechanism).
+        # Host-assisted protocol: a get's request first travels to the
+        # target.  The target's CPU copies user buffer <-> DMA buffer
+        # *pipelined* with the wire transfer (chunked staging, as LAPI
+        # does): the transfer rate is capped by the host copy rate, and the
+        # target's CPU is occupied for the copy — stolen FIFO from whatever
+        # computation the target is doing (the Fig. 9 mechanism).
         def host_assisted():
-            try:
-                yield engine.timeout(spec.network.rma_latency / 2.0)
-            except Interrupt:
-                return
+            if get:
+                try:
+                    yield engine.timeout(net.rma_latency / 2.0)
+                except Interrupt:
+                    return
             cpu = machine.cpu(target)
             grant = cpu.request()
             try:
@@ -347,119 +369,11 @@ class ArmciRuntime:
                 if not cpu.cancel(grant):
                     cpu.release()
                 return
-            copy_time = nbytes / spec.network.host_copy_bandwidth
-            stream = Link("hostcopy-stream", spec.network.host_copy_bandwidth)
-            flow = machine.transfer(
-                nbytes, [stream] + list(path),
-                latency=spec.network.rma_latency / 2.0 + sg_extra,
-                label=f"armci-get-hc {target}->{caller}")
-
-            def copier():
-                try:
-                    wall = yield from machine.cpu_busy(target, copy_time)
-                    machine.tracer.account(target, "copy", wall)
-                except Interrupt:
-                    return
-                finally:
-                    cpu.release()
-
-            copy_done = engine.spawn(copier(), name=f"armci-hc-copy@{target}")
-            try:
-                yield engine.all_of([flow, copy_done])
-            except Interrupt:
-                machine.net.abort(flow)
-                copy_done.interrupt()
-                return
-            deliver()
-            if not done.triggered:
-                done.succeed(nbytes)
-
-        proc = engine.spawn(host_assisted(), name=f"armci-hc-get@{target}")
-        req = Request(done, kind="get", nbytes=nbytes, issued_at=engine.now)
-        req.corrupted = corrupted
-        req._cancel_hook = proc.interrupt
-        return self._track_inflight(caller, target, req)
-
-    def put_transfer(self, caller: int, target: int, nbytes: float,
-                     deliver: Callable[[], None] = _noop) -> Request:
-        """Timing core of a put; ``deliver`` runs right before completion."""
-        machine = self.machine
-        engine = machine.engine
-        spec = machine.spec
-        machine.tracer.bump("armci_put")
-        done = engine.event("armci.put")
-
-        if ((machine.dead_nodes or machine.membership is not None)
-                and machine.presumed_dead(caller, target)):
-            # Puts to a presumed-dead rank land on its replica shard
-            # (checkpoint shipping and recovery write-back keep working
-            # after a buddy dies), spread by caller like redirected gets.
-            target = machine.replica_for(caller, target, spread=caller)
-            machine.tracer.bump("fault:put_redirected")
-
-        if machine.same_domain(caller, target):
-            def copier():
-                cpu = machine.cpu(caller)
-                t0 = engine.now
-                grant = cpu.request()
-                try:
-                    yield grant
-                except Interrupt:
-                    if not cpu.cancel(grant):
-                        cpu.release()
-                    return
-                flow = machine.transfer(
-                    nbytes, self._stream_path(caller, target),
-                    latency=spec.memory.shmem_latency,
-                    label=f"armci-put-shm {caller}->{target}")
-                try:
-                    yield flow
-                except Interrupt:
-                    machine.net.abort(flow)
-                    return
-                finally:
-                    cpu.release()
-                machine.tracer.account(caller, "copy", engine.now - t0)
-                deliver()
-                if not done.triggered:
-                    done.succeed(nbytes)
-
-            proc = engine.spawn(copier(), name=f"armci-shm-put@{caller}")
-            req = Request(done, kind="put", nbytes=nbytes, issued_at=engine.now)
-            req._cancel_hook = proc.interrupt
-            return self._track_inflight(caller, target, req)
-
-        path = machine.network_path(caller, target)
-
-        if spec.network.zero_copy:
-            flow = machine.transfer(nbytes, path, latency=spec.network.latency,
-                                    label=f"armci-put {caller}->{target}")
-
-            def finish(_ev):
-                if done.triggered:
-                    return
-                deliver()
-                done.succeed(nbytes)
-
-            flow.add_callback(finish)
-            req = Request(done, kind="put", nbytes=nbytes, issued_at=engine.now)
-            req._cancel_hook = lambda: machine.net.abort(flow)
-            return self._track_inflight(caller, target, req)
-
-        def host_assisted():
-            cpu = machine.cpu(target)
-            grant = cpu.request()
-            try:
-                yield grant
-            except Interrupt:
-                if not cpu.cancel(grant):
-                    cpu.release()
-                return
-            copy_time = nbytes / spec.network.host_copy_bandwidth
-            stream = Link("hostcopy-stream", spec.network.host_copy_bandwidth)
+            copy_time = nbytes / net.host_copy_bandwidth
+            stream = Link("hostcopy-stream", net.host_copy_bandwidth)
             flow = machine.transfer(nbytes, [stream] + list(path),
-                                    latency=spec.network.latency,
-                                    label=f"armci-put-hc {caller}->{target}")
+                                    latency=hc_latency,
+                                    label=f"armci-{kind}-hc {src}->{dst}")
 
             def copier():
                 try:
@@ -481,10 +395,9 @@ class ArmciRuntime:
             if not done.triggered:
                 done.succeed(nbytes)
 
-        proc = engine.spawn(host_assisted(), name=f"armci-hc-put@{target}")
-        req = Request(done, kind="put", nbytes=nbytes, issued_at=engine.now)
-        req._cancel_hook = proc.interrupt
-        return self._track_inflight(caller, target, req)
+        proc = engine.spawn(host_assisted(), name=f"armci-hc-{kind}@{target}")
+        return self._register(caller, target, done, kind, nbytes,
+                              proc.interrupt, corrupted)
 
     def acc_transfer(self, caller: int, target: int, nbytes: float,
                      n_elements: int,
@@ -497,11 +410,7 @@ class ArmciRuntime:
         spec = machine.spec
         machine.tracer.bump("armci_acc")
         done = engine.event("armci.acc")
-
-        if ((machine.dead_nodes or machine.membership is not None)
-                and machine.presumed_dead(caller, target)):
-            target = machine.replica_for(caller, target, spread=caller)
-            machine.tracer.bump("fault:put_redirected")
+        target = self._redirect(caller, target, "fault:put_redirected")
 
         def accumulate():
             # Move the payload like a put (wire or intra-domain memcpy)...
@@ -542,9 +451,8 @@ class ArmciRuntime:
                 done.succeed(nbytes)
 
         proc = engine.spawn(accumulate(), name=f"armci-acc@{target}")
-        req = Request(done, kind="acc", nbytes=nbytes, issued_at=engine.now)
-        req._cancel_hook = proc.interrupt
-        return self._track_inflight(caller, target, req)
+        return self._register(caller, target, done, "acc", nbytes,
+                              proc.interrupt)
 
     # -- data-carrying issue helpers --------------------------------------------
     def _issue_get(self, caller: int, target: int, key: str,
@@ -563,9 +471,9 @@ class ArmciRuntime:
         def deliver():
             out[oidx] = payload.reshape(out[oidx].shape)
 
-        req = self.get_transfer(caller, target, float(payload.nbytes), deliver,
-                                segments=_section_segments(src.shape, sidx),
-                                reliable=reliable)
+        req = self._transfer("get", caller, target, float(payload.nbytes),
+                             deliver, segments=_section_segments(src.shape, sidx),
+                             reliable=reliable)
         if req.corrupted and payload.size and payload.dtype == np.float64:
             # Injected silent corruption: flip the low exponent bit of one
             # element of the in-flight payload (the snapshot, never the
@@ -588,7 +496,8 @@ class ArmciRuntime:
         def deliver():
             dst[didx] = payload.reshape(dst[didx].shape)
 
-        return self.put_transfer(caller, target, float(payload.nbytes), deliver)
+        return self._transfer("put", caller, target, float(payload.nbytes),
+                              deliver)
 
 
 class Armci:
@@ -633,7 +542,7 @@ class Armci:
         ``out[out_index]``.  Returns a :class:`Request`.
 
         ``reliable=True`` requests the guaranteed-delivery blocking-copy
-        protocol (fault-injection fallback; see :meth:`ArmciRuntime.get_transfer`)."""
+        protocol (fault-injection fallback; see :meth:`ArmciRuntime._transfer`)."""
         return self._rt._issue_get(self.rank, target, key, src_index, out,
                                    out_index, reliable=reliable)
 
@@ -698,7 +607,7 @@ class Armci:
             raise CommError(f"no counter {key!r} on rank {target}")
         # Control round trips are protocol-acknowledged on real runtimes,
         # so they are exempt from injected data-loss (failable=False).
-        req = rt.get_transfer(self.rank, target, 8.0, failable=False)
+        req = rt._transfer("get", self.rank, target, 8.0, failable=False)
 
         # The atomic update happens at the simulated completion instant.
         result: dict = {}
@@ -742,8 +651,8 @@ class Armci:
         data-carrying get would pay; ``reliable`` as in :meth:`nb_get`."""
         if nbytes < 0:
             raise ValueError(f"negative get size {nbytes}")
-        return self._rt.get_transfer(self.rank, target, float(nbytes),
-                                     segments=segments, reliable=reliable)
+        return self._rt._transfer("get", self.rank, target, float(nbytes),
+                                  segments=segments, reliable=reliable)
 
     def get_bytes(self, target: int, nbytes: float, segments: int = 1):
         """Blocking byte-level get (generator)."""
@@ -755,7 +664,7 @@ class Armci:
         """Nonblocking put with the full protocol timing but no payload."""
         if nbytes < 0:
             raise ValueError(f"negative put size {nbytes}")
-        return self._rt.put_transfer(self.rank, target, float(nbytes))
+        return self._rt._transfer("put", self.rank, target, float(nbytes))
 
     def _wait(self, req: Request):
         machine = self._rt.machine

@@ -379,7 +379,8 @@ class Mpi:
 
         ``buf`` holds this rank's contribution on entry; on exit the root's
         ``buf`` holds the elementwise reduction.  ``op`` is 'sum', 'max' or
-        'min'.  ``buf=None`` + ``nbytes`` reduces bytes only (timing).
+        'min'.  ``buf=None`` + ``nbytes`` reduces bytes only, with exactly
+        the timing of the payload reduce of that size.
         """
         if buf is None and nbytes is None:
             raise ValueError("byte-level reduce needs an explicit nbytes")
@@ -400,23 +401,18 @@ class Mpi:
 
         # Fan-in: mirror of the broadcast tree. A node receives from every
         # child (vrank + mask for masks above its position), combines, then
-        # sends to its parent.
+        # sends to its parent.  The combine takes no simulated time, so a
+        # byte-level reduce (no payload) times exactly like a real one.
         mask = 1
         while mask < n:
             if (vrank & mask) == 0:
                 child_v = vrank + mask
                 if child_v < n and (vrank & (mask - 1)) == 0:
                     child = ranks[(child_v + rt) % n]
+                    incoming = None if buf is None else np.empty_like(buf)
+                    yield from self.recv(incoming, src=child, tag=tag)
                     if buf is not None:
-                        incoming = np.empty_like(buf)
-                        yield from self.recv(incoming, src=child, tag=tag)
                         combine(buf, incoming, out=buf)
-                    else:
-                        yield from self.recv(None, src=child, tag=tag)
-                        # combining cost: one flop per element
-                        yield self._rt.engine.timeout(
-                            (nbytes / 8.0)
-                            / self._rt.machine.spec.cpu.flops)
             else:
                 parent_v = vrank & (vrank - 1)
                 parent = ranks[(parent_v + rt) % n]
@@ -430,7 +426,8 @@ class Mpi:
         """Reduce to rank 0 of the group, then broadcast (generator)."""
         ranks = list(group) if group is not None else list(range(self.nranks))
         root = ranks[0]
-        yield from self.reduce(buf, root=root, op=op, group=ranks, tag=tag)
+        yield from self.reduce(buf, root=root, op=op, group=ranks, tag=tag,
+                               nbytes=nbytes)
         yield from self.bcast(buf, root=root, group=ranks, tag=tag + 1,
                               nbytes=nbytes)
 

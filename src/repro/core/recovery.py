@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["RecoveryBoard", "board_for", "build_assignment", "plan_operands"]
+__all__ = ["RecoveryBoard", "board_for", "build_assignment"]
 
 
 class RecoveryBoard:
@@ -144,35 +144,3 @@ def build_assignment(machine, board: RecoveryBoard, dead: list[int],
     board.assignment = assignment
     machine.tracer.bump("fault:recovery_tasks", dealt)
 
-
-def plan_operands(machine, rank: int, flavor: str, task, dist_a, dist_b):
-    """Operand plan for one recovered task, relative to the *executor*.
-
-    Same classification as the healthy planner, with two crash-time
-    overrides: a dead owner's panel must travel over the wire from its
-    replica (never a direct view into dead memory), and the explicit-copy
-    mode of the X1 flavour degrades to a get for the same reason.  Dead
-    is judged by the *executor's belief* (membership view when detection
-    is on, the oracle otherwise), so panels of presumed-dead stragglers
-    also route to replicas.
-    """
-    from ..comm.armci import _section_segments
-    from .srumma import _Operand, _operand_mode
-
-    pair = []
-    for owner, index, shape, dist in (
-            (task.a_owner, task.a_index, task.a_shape, dist_a),
-            (task.b_owner, task.b_index, task.b_shape, dist_b)):
-        if machine.presumed_dead(rank, owner):
-            mode, penalty = "get", False
-        else:
-            mode, penalty = _operand_mode(machine, rank, flavor, owner)
-            if mode == "copy":
-                mode = "get"
-        segments = None
-        if mode == "get":
-            segments = _section_segments(
-                dist.block_shape(*dist.coords_of(owner)), index)
-        pair.append(_Operand(mode, owner, index, shape, penalty,
-                             segments=segments))
-    return tuple(pair)

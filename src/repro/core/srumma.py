@@ -41,7 +41,7 @@ from ..distarray.distribution import Block2D
 from ..distarray.global_array import GlobalArray
 from ..machines.spec import MachineSpec
 from ..sim.cluster import Machine
-from .recovery import board_for, build_assignment, plan_operands
+from .recovery import board_for, build_assignment
 from .schedule import (ScheduleOptions, defer_suspected, order_tasks,
                        task_is_domain_local)
 from .tasks import BlockTask, build_tasks
@@ -198,6 +198,35 @@ _PLAN_CACHE: dict = {}
 _PLAN_CACHE_MAX = 1024
 
 
+def _plan_operands(tasks, dist_a, dist_b, mode_of):
+    """(operand plans, needs-get flags) for ``tasks``.
+
+    ``mode_of(owner)`` is the caller's (access mode, kernel penalty) rule
+    for one operand owner; it is consulted once per owner.
+    """
+    memo: dict[int, tuple[str, bool]] = {}
+
+    def plan(owner, index, shape, dist):
+        decision = memo.get(owner)
+        if decision is None:
+            decision = memo[owner] = mode_of(owner)
+        mode, penalty = decision
+        segments = None
+        if mode == "get":
+            owner_shape = dist.block_shape(*dist.coords_of(owner))
+            segments = _section_segments(owner_shape, index)
+        return _Operand(mode, owner, index, shape, penalty,
+                        segments=segments)
+
+    plans = tuple(
+        (plan(t.a_owner, t.a_index, t.a_shape, dist_a),
+         plan(t.b_owner, t.b_index, t.b_shape, dist_b))
+        for t in tasks)
+    needs_get = tuple(
+        any(op.mode == "get" for op in pair) for pair in plans)
+    return plans, needs_get
+
+
 def _build_plan(machine: Machine, rank: int, coords, dist_a, dist_b, dist_c,
                 transa: bool, transb: bool, flavor: str,
                 schedule: ScheduleOptions):
@@ -221,27 +250,9 @@ def _build_plan(machine: Machine, rank: int, coords, dist_a, dist_b, dist_c,
     local_tasks = sum(
         1 for t in tasks if task_is_domain_local(machine, rank, t))
 
-    mode_memo: dict[int, tuple[str, bool]] = {}
-
-    def plan(owner, index, shape, dist):
-        decision = mode_memo.get(owner)
-        if decision is None:
-            decision = mode_memo[owner] = _operand_mode(
-                machine, rank, flavor, owner)
-        mode, penalty = decision
-        segments = None
-        if mode == "get":
-            owner_shape = dist.block_shape(*dist.coords_of(owner))
-            segments = _section_segments(owner_shape, index)
-        return _Operand(mode, owner, index, shape, penalty,
-                        segments=segments)
-
-    plans = tuple(
-        (plan(t.a_owner, t.a_index, t.a_shape, dist_a),
-         plan(t.b_owner, t.b_index, t.b_shape, dist_b))
-        for t in tasks)
-    needs_get = tuple(
-        any(op.mode == "get" for op in pair) for pair in plans)
+    plans, needs_get = _plan_operands(
+        tasks, dist_a, dist_b,
+        lambda owner: _operand_mode(machine, rank, flavor, owner))
 
     result = (tasks, plans, local_tasks, needs_get)
     if key is not None:
@@ -363,6 +374,17 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
         stats.peak_buffer_bytes = max(stats.peak_buffer_bytes,
                                       live_buffer_bytes)
 
+    def fetch(op, ga, buf, reliable: bool = False) -> Request:
+        """Issue the get of one operand patch into ``buf`` (the first
+        issue and every re-issue of the robust wait)."""
+        if real:
+            return ga.nb_get_owner_patch(op.owner, op.index, buf,
+                                         reliable=reliable)
+        # op.segments matches the strided-descriptor cost the data-carrying
+        # get pays for a sub-block section (precomputed at plan time).
+        return ctx.armci.nb_get_bytes(op.owner, op.elems * itemsize,
+                                      segments=op.segments, reliable=reliable)
+
     def _make_issue(plan_seq):
         """Build an issue_gets closure over one operand-plan sequence (the
         healthy task list, or a recovered dead rank's task list)."""
@@ -399,17 +421,9 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
                     nbytes = op.elems * itemsize
                     stats.remote_gets += 1
                     stats.bytes_fetched += nbytes
-                    if real:
-                        buf = np.empty(op.shape, dtype=c.dtype)
-                        arrays[slot] = buf
-                        req = ga.nb_get_owner_patch(op.owner, op.index, buf)
-                    else:
-                        # op.segments matches the strided-descriptor cost the
-                        # data-carrying get pays for a sub-block section
-                        # (precomputed at plan time).
-                        buf = None
-                        req = ctx.armci.nb_get_bytes(op.owner, nbytes,
-                                                     segments=op.segments)
+                    buf = np.empty(op.shape, dtype=c.dtype) if real else None
+                    arrays[slot] = buf
+                    req = fetch(op, ga, buf)
                     reqs.append(req)
                     issued_requests.append(req)
                     if injector is not None:
@@ -457,13 +471,6 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
         wait_requests = ctx.wait_all
     else:
         fault_plan = injector.plan
-
-        def _reissue(op, ga, buf, rel: bool) -> Request:
-            if real:
-                return ga.nb_get_owner_patch(op.owner, op.index, buf,
-                                             reliable=rel)
-            return ctx.armci.nb_get_bytes(op.owner, op.elems * itemsize,
-                                          segments=op.segments, reliable=rel)
 
         cpu_flops = ctx.machine.spec.cpu.flops
         my_node = ctx.machine.node_of(ctx.rank)
@@ -586,7 +593,7 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
                         attempt += 1
                     stats.retries += 1
                     recovered = True
-                    new_req = _reissue(op, ga, buf, rel)
+                    new_req = fetch(op, ga, buf, rel)
                     issued_requests.append(new_req)
                     reissue_info[new_req] = (key, op, ga, buf)
                     superseded[req] = new_req
@@ -594,22 +601,28 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
                         fetch_cache[key] = (buf, new_req)
                     req = new_req
 
-    def run_dgemm(i: int, arrays):
-        """The serial kernel for task i (generator)."""
-        task = tasks[i]
-        penalty = plans[i][0].penalty or plans[i][1].penalty
+    def kernel(task, pair, arrays, block, origin):
+        """The serial kernel for one task (generator): accumulates into
+        ``block``, the C block whose first element is C[origin], using the
+        operand pair's kernel penalty."""
+        penalty = pair[0].penalty or pair[1].penalty
         stats.flops += task.flops
-        m = task.m_range[1] - task.m_range[0]
-        n = task.n_range[1] - task.n_range[0]
-        kk = task.k_range[1] - task.k_range[0]
         if real:
-            c_sub = c_local[task.m_range[0] - r_lo:task.m_range[1] - r_lo,
-                            task.n_range[0] - c_lo:task.n_range[1] - c_lo]
+            r0, c0 = origin
+            c_sub = block[task.m_range[0] - r0:task.m_range[1] - r0,
+                          task.n_range[0] - c0:task.n_range[1] - c0]
             yield from ctx.dgemm(arrays[0], arrays[1], c_sub,
                                  transa=transa, transb=transb,
                                  remote_uncached=penalty, alpha=alpha)
         else:
-            yield from ctx.dgemm_flops(m, n, kk, remote_uncached=penalty)
+            yield from ctx.dgemm_flops(task.m_range[1] - task.m_range[0],
+                                       task.n_range[1] - task.n_range[0],
+                                       task.k_range[1] - task.k_range[0],
+                                       remote_uncached=penalty)
+
+    def run_dgemm(i: int, arrays):
+        """The kernel for this rank's own task i (generator)."""
+        return kernel(tasks[i], plans[i], arrays, c_local, (r_lo, c_lo))
 
     # ----- crash tolerance: checkpointing + recovery --------------------------
     if recovery_on:
@@ -643,6 +656,20 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
                 stats.checkpoints += 1
                 ctx.tracer.bump("fault:checkpoint")
 
+        def recovered_operand_mode(owner: int) -> tuple[str, bool]:
+            """The owned-task rule relative to this executor, with two
+            crash-time overrides: a dead owner's panel must travel over the
+            wire from its replica (never a direct view into dead memory),
+            and the X1 flavour's explicit copy degrades to a get for the
+            same reason.  Dead is judged by this executor's belief
+            (membership view when detection is on, the oracle otherwise),
+            so panels of presumed-dead stragglers also route to replicas."""
+            if ctx.machine.presumed_dead(ctx.rank, owner):
+                return "get", False
+            mode, penalty = _operand_mode(ctx.machine, ctx.rank, flavor,
+                                          owner)
+            return ("get" if mode == "copy" else mode), penalty
+
         def _recover_one(d: int, task_indices):
             """Re-execute ``task_indices`` of dead rank ``d``'s task list,
             then ship the partial C contribution to its replica."""
@@ -653,37 +680,17 @@ def srumma_rank(ctx: RankContext, a: MatrixArg, b: MatrixArg, c: MatrixArg,
             # pipeline reaches them the detector has usually made up its
             # mind (identity ordering without a detector).
             rec_tasks = defer_suspected(rec_tasks, ctx.machine, ctx.rank)
-            rec_plans = tuple(
-                plan_operands(ctx.machine, ctx.rank, flavor, t,
-                              dist_a, dist_b) for t in rec_tasks)
-            rec_needs = tuple(any(op.mode == "get" for op in pair)
-                              for pair in rec_plans)
+            rec_plans, rec_needs = _plan_operands(
+                rec_tasks, dist_a, dist_b, recovered_operand_mode)
             d_shape = dist_c.block_shape(*d_coords)
-            d_r_lo, _ = dist_c.row_range(d_coords[0])
-            d_c_lo, _ = dist_c.col_range(d_coords[1])
+            d_origin = (dist_c.row_range(d_coords[0])[0],
+                        dist_c.col_range(d_coords[1])[0])
             partial = np.zeros(d_shape, dtype=c.dtype) if real else None
-
-            def rec_dgemm(i: int, arrays):
-                task = rec_tasks[i]
-                penalty = rec_plans[i][0].penalty or rec_plans[i][1].penalty
-                stats.flops += task.flops
-                if real:
-                    c_sub = partial[
-                        task.m_range[0] - d_r_lo:task.m_range[1] - d_r_lo,
-                        task.n_range[0] - d_c_lo:task.n_range[1] - d_c_lo]
-                    yield from ctx.dgemm(arrays[0], arrays[1], c_sub,
-                                         transa=transa, transb=transb,
-                                         remote_uncached=penalty, alpha=alpha)
-                else:
-                    yield from ctx.dgemm_flops(
-                        task.m_range[1] - task.m_range[0],
-                        task.n_range[1] - task.n_range[0],
-                        task.k_range[1] - task.k_range[0],
-                        remote_uncached=penalty)
-
-            yield from _run_dynamic(ctx, rec_tasks, rec_needs,
-                                    _make_issue(rec_plans), rec_dgemm,
-                                    options.pipeline_depth, wait_requests)
+            yield from _run_dynamic(
+                ctx, rec_tasks, rec_needs, _make_issue(rec_plans),
+                lambda i, arrays: kernel(rec_tasks[i], rec_plans[i], arrays,
+                                         partial, d_origin),
+                options.pipeline_depth, wait_requests)
             stats.recovered_tasks += len(rec_tasks)
             # One partial-C put to the dead rank's replica; the
             # contribution lands when the put completes.  A second crash

@@ -11,7 +11,7 @@ Public surface:
   max-min fair flow-level network.
 - :class:`~repro.sim.cluster.Machine`, :class:`~repro.sim.cluster.Node` —
   a full machine instance built from a :class:`~repro.machines.spec.MachineSpec`.
-- :class:`~repro.sim.trace.Tracer` — time accounting and event logs.
+- :class:`~repro.sim.trace.Tracer` — time accounting and counters.
 - :class:`~repro.sim.faults.FaultPlan`,
   :class:`~repro.sim.faults.FaultInjector` — deterministic fault injection
   (brownouts, outages, stragglers, crashes, partitions, rejoins, seeded
@@ -44,7 +44,7 @@ from .faults import (
     unit_uniform,
 )
 from .membership import Membership
-from .trace import TimeBuckets, TraceEvent, Tracer
+from .trace import TimeBuckets, Tracer
 
 __all__ = [
     "AllOf", "AnyOf", "Engine", "Event", "Interrupt", "Process",
@@ -58,5 +58,5 @@ __all__ = [
     "StragglerWindow", "install_faults", "standard_degraded_plan",
     "unit_uniform",
     "Membership",
-    "TimeBuckets", "TraceEvent", "Tracer",
+    "TimeBuckets", "Tracer",
 ]

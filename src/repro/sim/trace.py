@@ -1,36 +1,20 @@
-"""Structured tracing and per-rank time accounting.
+"""Per-rank time accounting and named counters.
 
 The tracer answers "where did the time go" questions the paper's analysis
 asks: how much of each rank's wall-clock went to computing, to waiting on
 communication, to copying buffers.  The overlap benchmarks and the
 ablation reports are built on these buckets.
-
-Tracing of individual events is off by default (zero overhead besides the
-accounting adds); enable it to get an ordered event log for debugging or
-for the example scripts that visualise the pipeline.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
 
-__all__ = ["TraceEvent", "Tracer", "TimeBuckets"]
+__all__ = ["Tracer", "TimeBuckets"]
 
 # Canonical accounting buckets; anything else is accepted but not summarised.
 BUCKETS = ("compute", "comm_wait", "copy", "mpi_overhead", "sync_wait")
-
-
-@dataclass
-class TraceEvent:
-    """One logged happening in the simulation."""
-
-    time: float
-    rank: int
-    kind: str
-    detail: str = ""
-    data: Any = None
 
 
 @dataclass
@@ -56,11 +40,9 @@ class TimeBuckets:
 
 
 class Tracer:
-    """Collects accounting buckets and (optionally) an ordered event log."""
+    """Collects per-rank accounting buckets and named counters."""
 
-    def __init__(self, record_events: bool = False):
-        self.record_events = record_events
-        self.events: list[TraceEvent] = []
+    def __init__(self):
         self._buckets: dict[int, TimeBuckets] = defaultdict(TimeBuckets)
         self.counters: dict[str, int] = defaultdict(int)
 
@@ -103,22 +85,6 @@ class Tracer:
     def total(self, bucket: str) -> float:
         """Sum of one bucket across all ranks."""
         return sum(getattr(b, bucket) for b in self._buckets.values())
-
-    # -- event log -----------------------------------------------------------
-    def log(self, time: float, rank: int, kind: str, detail: str = "",
-            data: Any = None) -> None:
-        if self.record_events:
-            self.events.append(TraceEvent(time, rank, kind, detail, data))
-
-    def events_of(self, rank: Optional[int] = None,
-                  kind: Optional[str] = None) -> list[TraceEvent]:
-        """Filter the event log (requires record_events=True)."""
-        out: Iterable[TraceEvent] = self.events
-        if rank is not None:
-            out = (e for e in out if e.rank == rank)
-        if kind is not None:
-            out = (e for e in out if e.kind == kind)
-        return list(out)
 
     def summary(self) -> dict[str, float]:
         """Machine-wide totals per bucket, plus counters."""

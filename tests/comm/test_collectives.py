@@ -107,3 +107,21 @@ def test_byte_level_reduce_needs_nbytes():
             yield from ctx.mpi.reduce(None, root=0)
 
     run_parallel(LINUX_MYRINET, 2, prog)
+
+
+@pytest.mark.parametrize("collective", ["reduce", "allreduce"])
+def test_byte_level_timing_equals_payload_timing(collective):
+    """A byte-level reduce or allreduce costs exactly what the payload one
+    of the same size costs (512 KiB on 8 ranks: the rendezvous protocol)."""
+    n = 1 << 16
+
+    def run(real: bool) -> float:
+        def prog(ctx):
+            buf = np.full(n, float(ctx.rank)) if real else None
+            kwargs = {"root": 0} if collective == "reduce" else {}
+            yield from getattr(ctx.mpi, collective)(
+                buf, nbytes=n * 8.0, **kwargs)
+
+        return run_parallel(LINUX_MYRINET, 8, prog).elapsed
+
+    assert run(real=True).hex() == run(real=False).hex()

@@ -9,7 +9,9 @@ End to end: with ``FaultPlan.corruption_rate > 0`` every injected flip is
 caught on arrival, re-fetched, and the product still verifies — the
 absorbing regime the resilience experiment relies on:
 ``corruptions_injected == corruptions_detected == corruptions_repaired``
-and zero corrupted values reach a dgemm.
+and zero corrupted values reach a dgemm.  Under a crash only the live
+ranks' counts must balance: a rank that dies mid-repair strands its
+detection.
 """
 
 import numpy as np
@@ -115,6 +117,32 @@ class TestEndToEndRepair:
         health = res.run.tracer.health()
         assert (health.get("corruption_repaired", 0)
                 == health.get("corruption_detected", 0))
+
+    def test_crash_strands_only_the_dead_ranks_detections(self):
+        """A rank that dies between detecting a corrupt panel and
+        re-fetching it leaves that one detection unrepaired: machine-wide
+        detections exceed repairs, while the live ranks balance exactly."""
+        from repro.sim.faults import NodeCrash
+
+        p, n = 16, 384
+        options = SrummaOptions(dynamic=True)
+        h = srumma_multiply(LINUX_MYRINET, p, n, n, n, payload="synthetic",
+                            options=options).elapsed
+        plan = FaultPlan(crashes=(NodeCrash(node=7, t_fail=0.5 * h),),
+                         checkpoint_interval=2, get_timeout=0.25 * h,
+                         watchdog_grace=5.0 * h, corruption_rate=0.2,
+                         get_fail_prob=0.05, seed=6)
+        res = srumma_multiply(LINUX_MYRINET, p, n, n, n, faults=plan,
+                              payload="real", verify=True, options=options)
+        assert res.max_error is not None and res.max_error < 1e-10
+        live = [s for s in res.stats if s is not None]
+        assert len(live) == p - 2  # node 7 held ranks 14 and 15
+        assert (sum(s.corruptions_detected for s in live)
+                == sum(s.corruptions_repaired for s in live))
+        health = res.run.tracer.health()
+        assert health["corruption_detected"] >= health["corruption_repaired"]
+        # Seed 6 kills a rank between a detection and its re-fetch.
+        assert health["corruption_detected"] > health["corruption_repaired"]
 
     def test_determinism(self):
         a = self._run(0.4)

@@ -41,23 +41,6 @@ def test_time_buckets_total():
     assert b.total() == 3.5
 
 
-def test_event_log_disabled_by_default():
-    t = Tracer()
-    t.log(1.0, 0, "kind", "detail")
-    assert t.events == []
-
-
-def test_event_log_enabled():
-    t = Tracer(record_events=True)
-    t.log(1.0, 0, "get", "a")
-    t.log(2.0, 1, "put", "b")
-    t.log(3.0, 0, "put", "c")
-    assert len(t.events) == 3
-    assert [e.kind for e in t.events_of(rank=0)] == ["get", "put"]
-    assert [e.time for e in t.events_of(kind="put")] == [2.0, 3.0]
-    assert len(t.events_of(rank=0, kind="put")) == 1
-
-
 def test_all_buckets_snapshot():
     t = Tracer()
     t.account(3, "copy", 1.0)
