@@ -292,7 +292,7 @@ def run_hier_workload(name: str, machine_name: str, nranks: int, mnk: int,
                 f"{name}: virtual elapsed changed across identical runs "
                 f"({virtual_elapsed} vs {res.elapsed})")
         rec_extra = {
-            "node_grid": list(res.node_grid),
+            "node_grid": list(res.grid),
             "kb": res.kb,
             **_mode_counters(res.run.machine),
         }

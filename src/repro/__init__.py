@@ -25,7 +25,6 @@ Package map:
 """
 
 from .core import (
-    HierarchicalResult,
     MultiplyResult,
     ScheduleOptions,
     SrummaOptions,
@@ -37,7 +36,6 @@ from .comm import run_parallel
 __version__ = "1.0.0"
 
 __all__ = [
-    "HierarchicalResult",
     "MultiplyResult",
     "ScheduleOptions",
     "SrummaOptions",

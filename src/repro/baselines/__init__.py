@@ -9,14 +9,14 @@
   paper's comparison target throughout §4).
 """
 
-from .cannon import CannonResult, cannon_multiply, cannon_rank
-from .fox import FoxResult, fox_multiply, fox_rank
-from .pdgemm import DEFAULT_NB, PdgemmResult, pdgemm_multiply, pdgemm_rank, pdtran_rank
-from .summa import SummaResult, summa_multiply, summa_rank
+from .cannon import cannon_multiply, cannon_rank
+from .fox import fox_multiply, fox_rank
+from .pdgemm import DEFAULT_NB, pdgemm_multiply, pdgemm_rank, pdtran_rank
+from .summa import summa_multiply, summa_rank
 
 __all__ = [
-    "CannonResult", "cannon_multiply", "cannon_rank",
-    "FoxResult", "fox_multiply", "fox_rank",
-    "DEFAULT_NB", "PdgemmResult", "pdgemm_multiply", "pdgemm_rank", "pdtran_rank",
-    "SummaResult", "summa_multiply", "summa_rank",
+    "cannon_multiply", "cannon_rank",
+    "fox_multiply", "fox_rank",
+    "DEFAULT_NB", "pdgemm_multiply", "pdgemm_rank", "pdtran_rank",
+    "summa_multiply", "summa_rank",
 ]

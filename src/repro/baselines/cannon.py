@@ -21,32 +21,26 @@ does not use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+import math
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
 from ..comm.base import RankContext
-from ..distarray.distribution import Block2D
-from ..machines.spec import MachineSpec
+from ..core.api import MultiplyResult, run_multiply
 
-__all__ = ["cannon_rank", "cannon_multiply", "CannonResult"]
+__all__ = ["cannon_rank", "cannon_multiply"]
 
 
-@dataclass
-class CannonResult:
-    """Outcome of :func:`cannon_multiply` (mirrors MultiplyResult)."""
-
-    elapsed: float
-    gflops: float
-    m: int
-    n: int
-    k: int
-    nranks: int
-    grid: tuple[int, int]
-    run: object
-    c: Optional[np.ndarray] = None
-    max_error: Optional[float] = None
+def exchange(ctx: RankContext, block: Optional[np.ndarray], dst: int,
+             src: int, tag: int, nbytes: float) -> Generator:
+    """Send ``block`` to ``dst`` while receiving its replacement from
+    ``src`` — one ring-shift step (generator).  Returns the received
+    block, None in a synthetic run."""
+    new = None if block is None else np.empty_like(block)
+    yield from ctx.mpi.sendrecv(dst, block, src, new, send_tag=tag,
+                                recv_tag=tag, nbytes=nbytes)
+    return new
 
 
 def cannon_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
@@ -64,8 +58,6 @@ def cannon_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
     bm = -(-m // s)  # padded block sizes
     bk = -(-k // s)
     bn = -(-n // s)
-    a_bytes = bm * bk * 8.0
-    b_bytes = bk * bn * 8.0
 
     def grid_rank(gi: int, gj: int) -> int:
         return (gi % s) * s + (gj % s)
@@ -77,29 +69,13 @@ def cannon_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
         """Shift A left by a_steps and B up by b_steps (generators)."""
         nonlocal a_cur, b_cur
         if a_steps % s:
-            dst = grid_rank(i, j - a_steps)
-            src = grid_rank(i, j + a_steps)
-            if real:
-                a_new = np.empty_like(a_cur)
-                yield from ctx.mpi.sendrecv(dst, a_cur, src, a_new,
-                                            send_tag=tag, recv_tag=tag)
-                a_cur = a_new
-            else:
-                yield from ctx.mpi.sendrecv(dst, None, src, None,
-                                            send_tag=tag, recv_tag=tag,
-                                            nbytes=a_bytes)
+            a_cur = yield from exchange(
+                ctx, a_cur, grid_rank(i, j - a_steps),
+                grid_rank(i, j + a_steps), tag, bm * bk * 8.0)
         if b_steps % s:
-            dst = grid_rank(i - b_steps, j)
-            src = grid_rank(i + b_steps, j)
-            if real:
-                b_new = np.empty_like(b_cur)
-                yield from ctx.mpi.sendrecv(dst, b_cur, src, b_new,
-                                            send_tag=tag + 1, recv_tag=tag + 1)
-                b_cur = b_new
-            else:
-                yield from ctx.mpi.sendrecv(dst, None, src, None,
-                                            send_tag=tag + 1, recv_tag=tag + 1,
-                                            nbytes=b_bytes)
+            b_cur = yield from exchange(
+                ctx, b_cur, grid_rank(i - b_steps, j),
+                grid_rank(i + b_steps, j), tag + 1, bk * bn * 8.0)
 
     # Initial skew: A_ij left by i, B_ij up by j.
     yield from shift(i, j, tag=10)
@@ -117,76 +93,52 @@ def cannon_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
     return None
 
 
-def cannon_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
+def _padded_block(x: np.ndarray, i: int, j: int, h: int, w: int) -> np.ndarray:
+    """Block ``(i, j)`` of ``x`` cut in ``h x w`` tiles, zero-padded to
+    ``h x w`` (padded products contribute nothing)."""
+    block = np.zeros((h, w))
+    part = x[i * h:(i + 1) * h, j * w:(j + 1) * w]
+    block[:part.shape[0], :part.shape[1]] = part
+    return block
+
+
+def square_grid_multiply(name: str, kernel: Callable[..., Generator], spec,
+                         nranks: int, m: int, n: int, k: int,
+                         s: Optional[int], **run_args) -> MultiplyResult:
+    """Front door of the ``s x s`` grid algorithms (Cannon, Fox).
+
+    ``s`` defaults to ``floor(sqrt(nranks))`` (ranks beyond ``s*s``
+    idle).  Every rank holds one zero-padded ``ceil`` block of A, B and C,
+    so all blocks have one shape; C is produced in a padded buffer whose
+    leading ``m x n`` corner is the result.  ``kernel(ctx, s, m, n, k,
+    a_block, b_block, c_block)`` is the per-rank algorithm.
+    """
+    if s is None:
+        s = math.isqrt(nranks)
+    bm, bk, bn = -(-m // s), -(-k // s), -(-n // s)
+
+    def setup(ctx, ops):
+        blocks = (None, None, None)
+        if ops is not None and ctx.rank < s * s:
+            i, j = divmod(ctx.rank, s)
+            blocks = (_padded_block(ops.a, i, j, bm, bk),
+                      _padded_block(ops.b, i, j, bk, bn),
+                      ops.c[i * bm:(i + 1) * bm, j * bn:(j + 1) * bn])
+        return kernel(ctx, s, m, n, k, *blocks)
+
+    return run_multiply(name, spec, nranks, m, n, k, (s, s), setup,
+                        c_shape=(s * bm, s * bn), **run_args)
+
+
+def cannon_multiply(spec, nranks: int, m: int, n: int, k: int,
                     s: Optional[int] = None, payload: str = "real",
                     verify: bool = True, seed: int = 0,
-                    interference=None, faults=None) -> CannonResult:
+                    interference=None, faults=None) -> MultiplyResult:
     """Run ``C = A @ B`` with Cannon's algorithm on a simulated machine.
 
     ``s`` is the grid side; defaults to ``floor(sqrt(nranks))`` (ranks beyond
     ``s*s`` idle).  Only the untransposed case is supported.
     """
-    import math
-
-    from ..comm.base import run_parallel
-
-    if payload not in ("real", "synthetic"):
-        raise ValueError(f"payload must be 'real' or 'synthetic', not {payload!r}")
-    if s is None:
-        s = int(math.isqrt(nranks))
-    if s * s > nranks:
-        raise ValueError(f"grid {s}x{s} needs more than {nranks} ranks")
-    real = payload == "real"
-
-    bm = -(-m // s)
-    bk = -(-k // s)
-    bn = -(-n // s)
-
-    if real:
-        rng = np.random.default_rng(seed)
-        a_ref = rng.standard_normal((m, k))
-        b_ref = rng.standard_normal((k, n))
-        # Padded global matrices so every block has the nominal shape.
-        a_pad = np.zeros((bm * s, bk * s))
-        a_pad[:m, :k] = a_ref
-        b_pad = np.zeros((bk * s, bn * s))
-        b_pad[:k, :n] = b_ref
-
-    c_blocks: dict[int, np.ndarray] = {}
-    spans: dict[int, tuple[float, float]] = {}
-
-    def rank_fn(ctx):
-        if real and ctx.rank < s * s:
-            i, j = divmod(ctx.rank, s)
-            a_blk = a_pad[i * bm:(i + 1) * bm, j * bk:(j + 1) * bk].copy()
-            b_blk = b_pad[i * bk:(i + 1) * bk, j * bn:(j + 1) * bn].copy()
-            c_blk = np.zeros((bm, bn))
-            c_blocks[ctx.rank] = c_blk
-        else:
-            a_blk = b_blk = c_blk = None
-        yield from ctx.mpi.barrier()
-        t0 = ctx.now
-        yield from cannon_rank(ctx, s, m, n, k, a_blk, b_blk, c_blk)
-        spans[ctx.rank] = (t0, ctx.now)
-
-    run = run_parallel(spec, nranks, rank_fn, interference=interference,
-                       faults=faults)
-    elapsed = (max(sp[1] for sp in spans.values())
-               - min(sp[0] for sp in spans.values()))
-    gflops = 2.0 * m * n * k / elapsed / 1e9 if elapsed > 0 else float("inf")
-    result = CannonResult(elapsed=elapsed, gflops=gflops, m=m, n=n, k=k,
-                          nranks=nranks, grid=(s, s), run=run)
-    if real:
-        c_pad = np.zeros((bm * s, bn * s))
-        for rank, blk in c_blocks.items():
-            i, j = divmod(rank, s)
-            c_pad[i * bm:(i + 1) * bm, j * bn:(j + 1) * bn] = blk
-        result.c = c_pad[:m, :n]
-        if verify:
-            expected = a_ref @ b_ref
-            result.max_error = float(np.max(np.abs(result.c - expected)))
-            tol = 1e-8 * max(1, k)
-            if result.max_error > tol:
-                raise AssertionError(
-                    f"Cannon result wrong: max|err|={result.max_error:.3e}")
-    return result
+    return square_grid_multiply("Cannon", cannon_rank, spec, nranks, m, n, k,
+                                s, payload=payload, verify=verify, seed=seed,
+                                interference=interference, faults=faults)

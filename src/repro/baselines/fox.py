@@ -18,29 +18,15 @@ in the classical formulation; non-divisible sizes handled by zero padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
 
 from ..comm.base import RankContext
-from ..machines.spec import MachineSpec
+from ..core.api import MultiplyResult
+from .cannon import exchange, square_grid_multiply
 
-__all__ = ["fox_rank", "fox_multiply", "FoxResult"]
-
-
-@dataclass
-class FoxResult:
-    elapsed: float
-    gflops: float
-    m: int
-    n: int
-    k: int
-    nranks: int
-    grid: tuple[int, int]
-    run: object
-    c: Optional[np.ndarray] = None
-    max_error: Optional[float] = None
+__all__ = ["fox_rank", "fox_multiply"]
 
 
 def fox_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
@@ -61,21 +47,10 @@ def fox_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
 
     for step in range(s):
         # 1. Broadcast A_{i, (i+step) mod s} along the process row.
-        root_col = (i + step) % s
-        root = i * s + root_col
-        if real:
-            a_pan = a_block if ctx.rank == root else a_recv
-            if ctx.rank == root:
-                yield from ctx.mpi.bcast(a_block, root=root, group=row_group,
-                                         tag=7_000_000 + step)
-            else:
-                yield from ctx.mpi.bcast(a_recv, root=root, group=row_group,
-                                         tag=7_000_000 + step)
-        else:
-            a_pan = None
-            yield from ctx.mpi.bcast(None, root=root, group=row_group,
-                                     tag=7_000_000 + step,
-                                     nbytes=bm * bk * 8.0)
+        root = i * s + (i + step) % s
+        a_pan = a_block if ctx.rank == root else a_recv
+        yield from ctx.mpi.bcast(a_pan, root=root, group=row_group,
+                                 tag=7_000_000 + step, nbytes=bm * bk * 8.0)
         # 2. Multiply.
         if real:
             yield from ctx.dgemm(a_pan, b_cur, c_block)
@@ -83,86 +58,17 @@ def fox_rank(ctx: RankContext, s: int, m: int, n: int, k: int,
             yield from ctx.dgemm_flops(bm, bn, bk)
         # 3. Roll B upward.
         if step < s - 1:
-            dst = ((i - 1) % s) * s + j
-            src = ((i + 1) % s) * s + j
-            if real:
-                b_new = np.empty_like(b_cur)
-                yield from ctx.mpi.sendrecv(dst, b_cur, src, b_new,
-                                            send_tag=7_500_000 + step,
-                                            recv_tag=7_500_000 + step)
-                b_cur = b_new
-            else:
-                yield from ctx.mpi.sendrecv(dst, None, src, None,
-                                            send_tag=7_500_000 + step,
-                                            recv_tag=7_500_000 + step,
-                                            nbytes=bk * bn * 8.0)
+            b_cur = yield from exchange(
+                ctx, b_cur, ((i - 1) % s) * s + j, ((i + 1) % s) * s + j,
+                7_500_000 + step, bk * bn * 8.0)
     return None
 
 
-def fox_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
+def fox_multiply(spec, nranks: int, m: int, n: int, k: int,
                  s: Optional[int] = None, payload: str = "real",
                  verify: bool = True, seed: int = 0,
-                 interference=None, faults=None) -> FoxResult:
+                 interference=None, faults=None) -> MultiplyResult:
     """Run ``C = A @ B`` with Fox's algorithm on a simulated machine."""
-    import math
-
-    from ..comm.base import run_parallel
-
-    if payload not in ("real", "synthetic"):
-        raise ValueError(f"payload must be 'real' or 'synthetic', not {payload!r}")
-    if s is None:
-        s = int(math.isqrt(nranks))
-    if s * s > nranks:
-        raise ValueError(f"grid {s}x{s} needs more than {nranks} ranks")
-    real = payload == "real"
-
-    bm = -(-m // s)
-    bk = -(-k // s)
-    bn = -(-n // s)
-
-    if real:
-        rng = np.random.default_rng(seed)
-        a_ref = rng.standard_normal((m, k))
-        b_ref = rng.standard_normal((k, n))
-        a_pad = np.zeros((bm * s, bk * s))
-        a_pad[:m, :k] = a_ref
-        b_pad = np.zeros((bk * s, bn * s))
-        b_pad[:k, :n] = b_ref
-
-    c_blocks: dict[int, np.ndarray] = {}
-    spans: dict[int, tuple[float, float]] = {}
-
-    def rank_fn(ctx):
-        a_blk = b_blk = c_blk = None
-        if real and ctx.rank < s * s:
-            i, j = divmod(ctx.rank, s)
-            a_blk = a_pad[i * bm:(i + 1) * bm, j * bk:(j + 1) * bk].copy()
-            b_blk = b_pad[i * bk:(i + 1) * bk, j * bn:(j + 1) * bn].copy()
-            c_blk = np.zeros((bm, bn))
-            c_blocks[ctx.rank] = c_blk
-        yield from ctx.mpi.barrier()
-        t0 = ctx.now
-        yield from fox_rank(ctx, s, m, n, k, a_blk, b_blk, c_blk)
-        spans[ctx.rank] = (t0, ctx.now)
-
-    run = run_parallel(spec, nranks, rank_fn, interference=interference,
-                       faults=faults)
-    elapsed = (max(sp[1] for sp in spans.values())
-               - min(sp[0] for sp in spans.values()))
-    gflops = 2.0 * m * n * k / elapsed / 1e9 if elapsed > 0 else float("inf")
-    result = FoxResult(elapsed=elapsed, gflops=gflops, m=m, n=n, k=k,
-                       nranks=nranks, grid=(s, s), run=run)
-    if real:
-        c_pad = np.zeros((bm * s, bn * s))
-        for rank, blk in c_blocks.items():
-            i, j = divmod(rank, s)
-            c_pad[i * bm:(i + 1) * bm, j * bn:(j + 1) * bn] = blk
-        result.c = c_pad[:m, :n]
-        if verify:
-            expected = a_ref @ b_ref
-            result.max_error = float(np.max(np.abs(result.c - expected)))
-            tol = 1e-8 * max(1, k)
-            if result.max_error > tol:
-                raise AssertionError(
-                    f"Fox result wrong: max|err|={result.max_error:.3e}")
-    return result
+    return square_grid_multiply("Fox", fox_rank, spec, nranks, m, n, k, s,
+                                payload=payload, verify=verify, seed=seed,
+                                interference=interference, faults=faults)

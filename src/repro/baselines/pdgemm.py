@@ -21,33 +21,17 @@ byte without real numpy data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from ..comm.base import RankContext
+from ..core.api import MultiplyResult, run_multiply
 from ..distarray.distribution import BlockCyclic2D, choose_grid
-from ..machines.spec import MachineSpec
 
-__all__ = ["pdgemm_rank", "pdgemm_multiply", "PdgemmResult", "DEFAULT_NB"]
+__all__ = ["pdgemm_rank", "pdgemm_multiply", "DEFAULT_NB"]
 
 DEFAULT_NB = 64
-
-
-@dataclass
-class PdgemmResult:
-    elapsed: float
-    gflops: float
-    m: int
-    n: int
-    k: int
-    nranks: int
-    grid: tuple[int, int]
-    nb: int
-    run: object
-    c: Optional[np.ndarray] = None
-    max_error: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
@@ -65,10 +49,13 @@ def scatter_local(dist: BlockCyclic2D, rank: int,
 
 
 def gather_global(dist: BlockCyclic2D,
-                  locals_by_rank: dict[int, np.ndarray]) -> np.ndarray:
-    """Reassemble the global matrix from packed local arrays."""
+                  locals_by_rank: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """Reassemble the global matrix from packed local arrays, indexed by
+    rank (None for ranks that hold none)."""
     out = np.zeros((dist.m, dist.n))
-    for rank, loc in locals_by_rank.items():
+    for rank, loc in enumerate(locals_by_rank):
+        if loc is None:
+            continue
         pi, pj = dist.coords_of(rank)
         rows = dist.global_rows_of(pi)
         cols = dist.global_cols_of(pj)
@@ -134,27 +121,28 @@ def pdtran_rank(ctx: RankContext, src: BlockCyclic2D, dst: BlockCyclic2D,
                   for tj in src.local_col_tiles(pj)]
 
     def post_recv(ti: int, tj: int):
-        # Destination tile (ti, tj) comes from source tile (tj, ti).
+        # Destination tile (ti, tj) comes from source tile (tj, ti) and
+        # lands straight in its packed slot.
         s_owner = src.rank_of(*src.tile_owner(tj, ti))
-        tag = tag_base + ti * dst.tiles_n + tj
+        out = None
         if real:
-            shape = dst.tile_shape(ti, tj)
-            buf = np.empty(shape)
+            h, w = dst.tile_shape(ti, tj)
             r0 = _local_row_offset(dst, pi, ti)
             c0 = _local_col_offset(dst, pj, tj)
-            return ctx.mpi.irecv(buf, src=s_owner, tag=tag), buf, (r0, c0, shape)
-        return ctx.mpi.irecv(None, src=s_owner, tag=tag), None, None
+            out = dst_local[r0:r0 + h, c0:c0 + w]
+        return ctx.mpi.irecv(out, src=s_owner,
+                             tag=tag_base + ti * dst.tiles_n + tj)
 
     def post_send(ti: int, tj: int):
         d_owner = dst.rank_of(*dst.tile_owner(tj, ti))
         tag = tag_base + tj * dst.tiles_n + ti  # dest tile is (tj, ti)
         h, w = src.tile_shape(ti, tj)
+        tile = None
         if real:
             r0 = _local_row_offset(src, pi, ti)
             c0 = _local_col_offset(src, pj, tj)
-            tile = src_local[r0:r0 + h, c0:c0 + w]
-            return ctx.mpi.isend(d_owner, tile.T.copy(), tag=tag)
-        return ctx.mpi.isend(d_owner, None, tag=tag, nbytes=h * w * 8.0)
+            tile = src_local[r0:r0 + h, c0:c0 + w].T
+        return ctx.mpi.isend(d_owner, tile, tag=tag, nbytes=h * w * 8.0)
 
     # Post every send, then enter waitall-like progress (rendezvous data
     # may flow as soon as the matching receive appears).  Receives are
@@ -171,11 +159,7 @@ def pdtran_rank(ctx: RankContext, src: BlockCyclic2D, dst: BlockCyclic2D,
         while ri < len(recv_tiles) and len(pending_recvs) < PDTRAN_WINDOW:
             pending_recvs.append(post_recv(*recv_tiles[ri]))
             ri += 1
-        req, buf, place = pending_recvs.pop(0)
-        yield from ctx.mpi.wait(req)
-        if real:
-            r0, c0, (h, w) = place
-            dst_local[r0:r0 + h, c0:c0 + w] = buf
+        yield from ctx.mpi.wait(pending_recvs.pop(0))
     yield from ctx.mpi.wait_all(sends)
     return dst_local
 
@@ -207,31 +191,24 @@ def _summa_bc_rank(ctx: RankContext, da: BlockCyclic2D, db: BlockCyclic2D,
         a_root = dc.rank_of(pi, a_root_col)
         b_root_row = t % p
         b_root = dc.rank_of(b_root_row, pj)
-
+        a_pan = b_pan = None
+        if real:
+            a_pan = np.empty((my_m, kk))
+            if me == a_root:
+                c0 = _local_col_offset(da, a_root_col, t)
+                a_pan[...] = a_local[:, c0:c0 + kk]
+            b_pan = np.empty((kk, my_n))
+            if me == b_root:
+                r0 = _local_row_offset(db, b_root_row, t)
+                b_pan[...] = b_local[r0:r0 + kk, :]
         if my_m:
-            if real:
-                a_pan = np.empty((my_m, kk))
-                if me == a_root:
-                    c0 = _local_col_offset(da, a_root_col, t)
-                    a_pan[...] = a_local[:, c0:c0 + kk]
-                yield from ctx.mpi.bcast(a_pan, root=a_root, group=row_group,
-                                         tag=6_000_000 + 2 * t)
-            else:
-                yield from ctx.mpi.bcast(None, root=a_root, group=row_group,
-                                         tag=6_000_000 + 2 * t,
-                                         nbytes=my_m * kk * 8.0)
+            yield from ctx.mpi.bcast(a_pan, root=a_root, group=row_group,
+                                     tag=6_000_000 + 2 * t,
+                                     nbytes=my_m * kk * 8.0)
         if my_n:
-            if real:
-                b_pan = np.empty((kk, my_n))
-                if me == b_root:
-                    r0 = _local_row_offset(db, b_root_row, t)
-                    b_pan[...] = b_local[r0:r0 + kk, :]
-                yield from ctx.mpi.bcast(b_pan, root=b_root, group=col_group,
-                                         tag=6_000_001 + 2 * t)
-            else:
-                yield from ctx.mpi.bcast(None, root=b_root, group=col_group,
-                                         tag=6_000_001 + 2 * t,
-                                         nbytes=kk * my_n * 8.0)
+            yield from ctx.mpi.bcast(b_pan, root=b_root, group=col_group,
+                                     tag=6_000_001 + 2 * t,
+                                     nbytes=kk * my_n * 8.0)
         if my_m and my_n:
             if real:
                 yield from ctx.dgemm(a_pan, b_pan, c_local)
@@ -248,11 +225,11 @@ def pdgemm_rank(ctx: RankContext, m: int, n: int, k: int, nb: int,
 
     ``a_local``/``b_local`` are packed block-cyclic locals of the *stored*
     matrices (``k x m`` when transa, etc.); None for synthetic runs.
+    Returns ``c_local``, this rank's packed block of C.
     """
     da = BlockCyclic2D(m, k, nb, nb, p, q)
     db = BlockCyclic2D(k, n, nb, nb, p, q)
     dc = BlockCyclic2D(m, n, nb, nb, p, q)
-    real = c_local is not None
 
     if transa:
         stored = BlockCyclic2D(k, m, nb, nb, p, q)
@@ -268,66 +245,38 @@ def pdgemm_rank(ctx: RankContext, m: int, n: int, k: int, nb: int,
         yield from ctx.mpi.barrier(group=list(range(p * q)))
 
     yield from _summa_bc_rank(ctx, da, db, dc, a_local, b_local, c_local)
-    return c_local if real else None
+    return c_local
 
 
-def pdgemm_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
+def pdgemm_multiply(spec, nranks: int, m: int, n: int, k: int,
                     transa: bool = False, transb: bool = False,
                     p: Optional[int] = None, q: Optional[int] = None,
                     nb: int = DEFAULT_NB, payload: str = "real",
                     verify: bool = True, seed: int = 0,
-                    interference=None, faults=None) -> PdgemmResult:
+                    interference=None, faults=None) -> MultiplyResult:
     """Run ``C = op(A) @ op(B)`` with the pdgemm stand-in."""
-    from ..comm.base import run_parallel
-
-    if payload not in ("real", "synthetic"):
-        raise ValueError(f"payload must be 'real' or 'synthetic', not {payload!r}")
     if nb < 1:
         raise ValueError(f"tile size nb must be >= 1, got {nb}")
     if p is None or q is None:
         p, q = choose_grid(nranks)
-    if p * q > nranks:
-        raise ValueError(f"grid {p}x{q} needs more than {nranks} ranks")
-    real = payload == "real"
-
+    da_stored = BlockCyclic2D(k if transa else m, m if transa else k,
+                              nb, nb, p, q)
+    db_stored = BlockCyclic2D(n if transb else k, k if transb else n,
+                              nb, nb, p, q)
     dc = BlockCyclic2D(m, n, nb, nb, p, q)
-    if real:
-        rng = np.random.default_rng(seed)
-        a_ref = rng.standard_normal((k, m) if transa else (m, k))
-        b_ref = rng.standard_normal((n, k) if transb else (k, n))
-        da_stored = BlockCyclic2D(*a_ref.shape, nb, nb, p, q)
-        db_stored = BlockCyclic2D(*b_ref.shape, nb, nb, p, q)
 
-    c_locals: dict[int, np.ndarray] = {}
-    spans: dict[int, tuple[float, float]] = {}
-
-    def rank_fn(ctx):
+    def setup(ctx, ops):
         a_loc = b_loc = c_loc = None
-        if real and ctx.rank < p * q:
-            a_loc = scatter_local(da_stored, ctx.rank, a_ref)
-            b_loc = scatter_local(db_stored, ctx.rank, b_ref)
+        if ops is not None and ctx.rank < p * q:
+            a_loc = scatter_local(da_stored, ctx.rank, ops.a)
+            b_loc = scatter_local(db_stored, ctx.rank, ops.b)
             c_loc = np.zeros(dc.local_shape(ctx.rank))
-            c_locals[ctx.rank] = c_loc
-        yield from ctx.mpi.barrier()
-        t0 = ctx.now
-        yield from pdgemm_rank(ctx, m, n, k, nb, p, q, transa, transb,
-                               a_loc, b_loc, c_loc)
-        spans[ctx.rank] = (t0, ctx.now)
+        return pdgemm_rank(ctx, m, n, k, nb, p, q, transa, transb,
+                           a_loc, b_loc, c_loc)
 
-    run = run_parallel(spec, nranks, rank_fn, interference=interference,
-                       faults=faults)
-    elapsed = (max(sp[1] for sp in spans.values())
-               - min(sp[0] for sp in spans.values()))
-    gflops = 2.0 * m * n * k / elapsed / 1e9 if elapsed > 0 else float("inf")
-    result = PdgemmResult(elapsed=elapsed, gflops=gflops, m=m, n=n, k=k,
-                          nranks=nranks, grid=(p, q), nb=nb, run=run)
-    if real:
-        result.c = gather_global(dc, c_locals)
-        if verify:
-            expected = (a_ref.T if transa else a_ref) @ (b_ref.T if transb else b_ref)
-            result.max_error = float(np.max(np.abs(result.c - expected)))
-            tol = 1e-8 * max(1, k)
-            if result.max_error > tol:
-                raise AssertionError(
-                    f"pdgemm result wrong: max|err|={result.max_error:.3e}")
-    return result
+    # Each rank's kernel returns its packed block of C.
+    return run_multiply("pdgemm", spec, nranks, m, n, k, (p, q), setup,
+                        payload=payload, verify=verify, seed=seed,
+                        interference=interference, faults=faults,
+                        transa=transa, transb=transb, kb=nb,
+                        gather=lambda run: gather_global(dc, run.results))

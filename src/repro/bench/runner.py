@@ -73,60 +73,42 @@ def run_matmul(algorithm: str, spec: MachineSpec, nranks: int,
     """
     n = m if n is None else n
     k = m if k is None else k
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; know {ALGORITHMS}")
+    if (transa or transb) and algorithm not in ("srumma", "pdgemm"):
+        raise ValueError(f"{algorithm} supports only the NN case")
+    common = dict(payload=payload, verify=verify, seed=seed,
+                  interference=interference, faults=faults)
+    panel = nb if nb is not None else default_nb(n, nranks)
+    # The multiply functions are looked up as module globals at call time,
+    # so wrappers installed on this module see every call.
     if algorithm == "srumma":
         res = srumma_multiply(spec, nranks, m, n, k, transa=transa,
-                              transb=transb, options=options, payload=payload,
-                              verify=verify, seed=seed,
-                              interference=interference, faults=faults)
+                              transb=transb, options=options, **common)
         extra = {"grid": res.grid}
     elif algorithm == "hierarchical":
-        if transa or transb:
-            raise ValueError("hierarchical SRUMMA supports only the NN case")
-        res = hierarchical_multiply(spec, nranks, m, n, k, payload=payload,
-                                    verify=verify, kb=nb, seed=seed,
-                                    interference=interference, faults=faults)
-        extra = {"node_grid": res.node_grid, "kb": res.kb}
+        res = hierarchical_multiply(spec, nranks, m, n, k, kb=nb, **common)
+        extra = {"node_grid": res.grid, "kb": res.kb}
     elif algorithm == "pdgemm":
         res = pdgemm_multiply(spec, nranks, m, n, k, transa=transa,
-                              transb=transb, payload=payload, verify=verify,
-                              nb=nb if nb is not None else default_nb(n, nranks),
-                              seed=seed, interference=interference,
-                              faults=faults)
-        extra = {"grid": res.grid, "nb": res.nb}
+                              transb=transb, nb=panel, **common)
+        extra = {"grid": res.grid, "nb": res.kb}
     elif algorithm == "summa":
-        if transa or transb:
-            raise ValueError("the SUMMA baseline supports only the NN case")
-        res = summa_multiply(spec, nranks, m, n, k, payload=payload,
-                             verify=verify,
-                             kb=nb if nb is not None else default_nb(n, nranks),
-                             seed=seed, interference=interference,
-                             faults=faults)
+        res = summa_multiply(spec, nranks, m, n, k, kb=panel, **common)
         extra = {"grid": res.grid, "kb": res.kb}
     elif algorithm == "cannon":
-        if transa or transb:
-            raise ValueError("the Cannon baseline supports only the NN case")
-        res = cannon_multiply(spec, nranks, m, n, k, payload=payload,
-                              verify=verify, seed=seed,
-                              interference=interference, faults=faults)
-        extra = {"grid": res.grid}
-    elif algorithm == "fox":
-        if transa or transb:
-            raise ValueError("the Fox baseline supports only the NN case")
-        res = fox_multiply(spec, nranks, m, n, k, payload=payload,
-                           verify=verify, seed=seed,
-                           interference=interference, faults=faults)
+        res = cannon_multiply(spec, nranks, m, n, k, **common)
         extra = {"grid": res.grid}
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; know {ALGORITHMS}")
+        res = fox_multiply(spec, nranks, m, n, k, **common)
+        extra = {"grid": res.grid}
 
     # Detection/watchdog runs carry their health counters with the point,
     # so sweeps and cached replays can report suspicion/fence/stall
     # activity without re-simulating.
-    run = getattr(res, "run", None)
-    if (run is not None and faults is not None
-            and (getattr(faults, "detector", None) is not None
-                 or getattr(faults, "watchdog_grace", None) is not None)):
-        extra["health"] = dict(run.tracer.health())
+    if faults is not None and (faults.detector is not None
+                               or faults.watchdog_grace is not None):
+        extra["health"] = dict(res.run.tracer.health())
 
     return MatmulPoint(
         algorithm=algorithm, platform=spec.name, m=m, n=n, k=k,

@@ -19,7 +19,7 @@ single entry point every algorithm, test and benchmark uses.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -263,15 +263,7 @@ class RankContext:
             raise ValueError(f"inner dims disagree: {ak} vs {bk}")
         if c.shape != (am, bn):
             raise ValueError(f"C shape {c.shape} != ({am}, {bn})")
-        dt = self.machine.dgemm_time(am, bn, ak, remote_uncached=remote_uncached)
-        t0 = self.now
-        yield from self._occupy_cpu(dt)
-        self.tracer.account(self.rank, "compute", dt)
-        # Queueing delay beyond the kernel itself (e.g. the CPU was busy
-        # servicing a host-side copy for a non-zero-copy get) is idle time.
-        queued = (self.now - t0) - dt
-        if queued > 1e-15:
-            self.tracer.account(self.rank, "sync_wait", queued)
+        yield from self.dgemm_flops(am, bn, ak, remote_uncached)
         op_a = a.T if transa else a
         op_b = b.T if transb else b
         prod = op_a @ op_b
@@ -287,14 +279,16 @@ class RankContext:
 
     def dgemm_flops(self, m: int, n: int, k: int,
                     remote_uncached: bool = False) -> Generator:
-        """Time-only serial kernel: identical cost model to :meth:`dgemm`
-        but no numpy arithmetic (synthetic-payload benchmark mode)."""
+        """Time-only serial kernel: the cost model of :meth:`dgemm` without
+        the numpy arithmetic (synthetic-payload benchmark mode)."""
         if min(m, n, k) < 0:
             raise ValueError("negative dgemm dimensions")
         dt = self.machine.dgemm_time(m, n, k, remote_uncached=remote_uncached)
         t0 = self.now
         yield from self._occupy_cpu(dt)
         self.tracer.account(self.rank, "compute", dt)
+        # Queueing delay beyond the kernel itself (e.g. the CPU was busy
+        # servicing a host-side copy for a non-zero-copy get) is idle time.
         queued = (self.now - t0) - dt
         if queued > 1e-15:
             self.tracer.account(self.rank, "sync_wait", queued)
@@ -363,14 +357,15 @@ class ParallelRun:
 def run_parallel(spec_or_machine, nranks: Optional[int],
                  rank_fn: Callable[[RankContext], Generator],
                  tracer: Optional[Tracer] = None,
-                 interference=None, faults=None,
-                 tuning: Optional[dict] = None) -> ParallelRun:
+                 interference=None, faults=None) -> ParallelRun:
     """Run ``rank_fn(ctx)`` as one simulated process per rank.
 
     ``spec_or_machine`` may be a :class:`~repro.machines.spec.MachineSpec`
     (a fresh :class:`Machine` is built) or an existing :class:`Machine`
-    (``nranks`` must then be None or match).  Returns a :class:`ParallelRun`
-    with the virtual elapsed time and each rank's generator return value.
+    (``nranks`` must then be None or match); engine modes are set on the
+    machine (``Machine(spec, nranks, fast_forward=False)``).  Returns a
+    :class:`ParallelRun` with the virtual elapsed time and each rank's
+    generator return value.
 
     ``interference`` (an
     :class:`~repro.sim.interference.InterferencePattern`) injects per-CPU
@@ -382,10 +377,6 @@ def run_parallel(spec_or_machine, nranks: Optional[int],
     the engine clock and seeded get failures activate in the comm layer.
     ``None`` (the default) leaves ``machine.faults`` unset, which is the
     exact pre-fault-injection code path.
-
-    ``tuning`` forwards engine-mode kwargs to the :class:`Machine` built
-    here (``batched_dispatch`` / ``fast_forward`` / ``aggregation``, all
-    default-on and exact); ignored when an existing machine is passed.
     """
     # Imported here: armci/mpi/shmem import base for Request/RankContext.
     from .armci import Armci, ArmciRuntime
@@ -399,8 +390,7 @@ def run_parallel(spec_or_machine, nranks: Optional[int],
     elif isinstance(spec_or_machine, MachineSpec):
         if nranks is None:
             raise ValueError("nranks required when passing a MachineSpec")
-        machine = Machine(spec_or_machine, nranks, tracer=tracer,
-                          **(tuning or {}))
+        machine = Machine(spec_or_machine, nranks, tracer=tracer)
     else:
         raise TypeError(f"expected MachineSpec or Machine, got {type(spec_or_machine)}")
 

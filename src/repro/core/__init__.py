@@ -8,14 +8,14 @@
 """
 
 from .api import MultiplyResult, make_operands, measured_omega, srumma_multiply
-from .hierarchical import HierarchicalResult, hierarchical_multiply
+from .hierarchical import hierarchical_multiply
 from .schedule import ScheduleOptions, order_tasks, task_is_domain_local
 from .srumma import RankStats, SrummaOptions, resolve_flavor, srumma_rank
 from .tasks import BlockTask, build_tasks, k_dimension
 
 __all__ = [
     "MultiplyResult", "make_operands", "measured_omega", "srumma_multiply",
-    "HierarchicalResult", "hierarchical_multiply",
+    "hierarchical_multiply",
     "ScheduleOptions", "order_tasks", "task_is_domain_local",
     "RankStats", "SrummaOptions", "resolve_flavor", "srumma_rank",
     "BlockTask", "build_tasks", "k_dimension",

@@ -30,18 +30,17 @@ product; ``payload="synthetic"`` runs the identical schedule timing-only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
 
-from ..baselines.summa import k_panels
+from ..baselines.summa import bcast_panels, k_panels
 from ..comm.base import RankContext
 from ..distarray.distribution import Block2D, choose_grid
-from ..machines.spec import MachineSpec
+from ..sim.cluster import Machine
+from .api import MultiplyResult, run_multiply
 
-__all__ = ["HierarchicalResult", "hierarchical_rank", "hierarchical_multiply",
-           "default_kb_nodes"]
+__all__ = ["hierarchical_rank", "hierarchical_multiply", "default_kb_nodes"]
 
 
 def default_kb_nodes(k: int, n_domains: int) -> int:
@@ -52,33 +51,12 @@ def default_kb_nodes(k: int, n_domains: int) -> int:
     return max(1, min(kb, k))
 
 
-@dataclass
-class HierarchicalResult:
-    elapsed: float
-    gflops: float
-    m: int
-    n: int
-    k: int
-    nranks: int
-    node_grid: tuple[int, int]
-    kb: int
-    run: object
-    c: Optional[np.ndarray] = None
-    max_error: Optional[float] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<HierarchicalResult {self.m}x{self.n}x{self.k} "
-                f"P={self.nranks} grid={self.node_grid} "
-                f"{self.gflops:.2f} GFLOP/s>")
-
-
 def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
                       dist_c: Block2D, kb: int, leaders: list[int],
                       panels_shared: dict,
                       a_local: Optional[np.ndarray],
                       b_local: Optional[np.ndarray],
-                      c_local: Optional[np.ndarray],
-                      real: bool = True) -> Generator:
+                      c_local: Optional[np.ndarray]) -> Generator:
     """Per-rank two-level SRUMMA (generator).
 
     ``dist_*`` are *domain-grid* distributions (one block per shared-memory
@@ -86,8 +64,9 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
     leader rank.  ``panels_shared`` is the cross-rank panel exchange area:
     leaders publish their received (a_pan, b_pan) buffers per domain so
     siblings can slice them zero-copy — the simulated load/store access.
-    Pass ``real=False`` (and None buffers) for a synthetic run; siblings
-    always receive None buffers, so payload mode must be explicit.
+    ``a_local``/``b_local`` are the leader's blocks; ``c_local`` is every
+    domain rank's load/store view of its domain's C block.  Pass None
+    buffers for a synthetic run.
     """
     machine = ctx.machine
     domain = machine.domain_of(ctx.rank)
@@ -97,10 +76,11 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
     di, dj = dist_c.coords_of(domain)
     leader = leaders[domain]
     is_leader = ctx.rank == leader
+    real = c_local is not None
 
     # Leader row/column groups of the domain grid (inter-node tier).
-    row_group = [leaders[dist_c.rank_of(di, j)] for j in range(qn)]
-    col_group = [leaders[dist_c.rank_of(i, dj)] for i in range(pn)]
+    groups = ([leaders[dist_c.rank_of(di, j)] for j in range(qn)],
+              [leaders[dist_c.rank_of(i, dj)] for i in range(pn)])
     # Every rank of this domain (intra-node tier fences).
     domain_ranks = machine.ranks_in_domain(domain)
 
@@ -123,39 +103,9 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
         kk = k_hi - k_lo
         if is_leader:
             # --- inter-node tier: leader SUMMA broadcasts -----------------
-            a_owner_col = dist_a.owner_of_col(k_lo)
-            a_root = leaders[dist_a.rank_of(di, a_owner_col)]
-            b_owner_row = dist_b.owner_of_row(k_lo)
-            b_root = leaders[dist_b.rank_of(b_owner_row, dj)]
-            if real:
-                a_pan = np.empty((node_m, kk))
-                if ctx.rank == a_root and node_m:
-                    A0, _ = dist_a.col_range(a_owner_col)
-                    a_pan[...] = a_local[:, k_lo - A0:k_hi - A0]
-                b_pan = np.empty((kk, node_n))
-                if ctx.rank == b_root and node_n:
-                    B0, _ = dist_b.row_range(b_owner_row)
-                    b_pan[...] = b_local[k_lo - B0:k_hi - B0, :]
-                if node_m:
-                    yield from ctx.mpi.bcast(a_pan, root=a_root,
-                                             group=row_group,
-                                             tag=5_000_000 + 2 * t)
-                if node_n:
-                    yield from ctx.mpi.bcast(b_pan, root=b_root,
-                                             group=col_group,
-                                             tag=5_000_001 + 2 * t)
-                panels_shared[domain] = (a_pan, b_pan)
-            else:
-                if node_m:
-                    yield from ctx.mpi.bcast(None, root=a_root,
-                                             group=row_group,
-                                             tag=5_000_000 + 2 * t,
-                                             nbytes=node_m * kk * 8.0)
-                if node_n:
-                    yield from ctx.mpi.bcast(None, root=b_root,
-                                             group=col_group,
-                                             tag=5_000_001 + 2 * t,
-                                             nbytes=kk * node_n * 8.0)
+            panels_shared[domain] = yield from bcast_panels(
+                ctx, dist_a, dist_b, (di, dj), t, k_lo, k_hi, groups,
+                a_local, b_local, tag_base=5_000_000, leaders=leaders)
         # --- intra-node tier: fence, slice products, fence ----------------
         # First fence: the leader's panels have landed before any sibling
         # loads from them.
@@ -163,11 +113,8 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
         if my_m and node_n and kk:
             if real:
                 a_pan, b_pan = panels_shared[domain]
-                c_sub = c_local if is_leader else None
-                if c_sub is None:
-                    c_sub = panels_shared[("c", domain)]
                 yield from ctx.dgemm(a_pan[lo:hi, :], b_pan,
-                                     c_sub[lo:hi, :],
+                                     c_local[lo:hi, :],
                                      remote_uncached=penalty)
             else:
                 yield from ctx.dgemm_flops(my_m, node_n, kk,
@@ -178,23 +125,15 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
     return None
 
 
-def hierarchical_multiply(spec: MachineSpec, nranks: int, m: int, n: int,
+def hierarchical_multiply(spec, nranks: int, m: int, n: int,
                           k: int, kb: Optional[int] = None,
                           payload: str = "real", verify: bool = True,
-                          seed: int = 0, tuning: Optional[dict] = None,
-                          interference=None, faults=None
-                          ) -> HierarchicalResult:
+                          seed: int = 0, interference=None, faults=None
+                          ) -> MultiplyResult:
     """Run ``C = A @ B`` with the two-level hierarchical SRUMMA."""
-    from ..comm.base import run_parallel
-    from ..sim.cluster import Machine
-
-    if payload not in ("real", "synthetic"):
-        raise ValueError(f"payload must be 'real' or 'synthetic', not {payload!r}")
-    real = payload == "real"
-
     # The domain layout comes from the machine, so build it first and run
     # the ranks on the same instance.
-    machine = Machine(spec, nranks, **(tuning or {}))
+    machine = spec if isinstance(spec, Machine) else Machine(spec, nranks)
     n_domains = machine.n_domains
     pn, qn = choose_grid(n_domains)
     dist_a = Block2D(m, k, pn, qn)
@@ -205,56 +144,23 @@ def hierarchical_multiply(spec: MachineSpec, nranks: int, m: int, n: int,
     if kb < 1:
         raise ValueError(f"panel width kb must be >= 1, got {kb}")
     leaders = [machine.domain_leader(d) for d in range(n_domains)]
-
-    if real:
-        rng = np.random.default_rng(seed)
-        a_ref = rng.standard_normal((m, k))
-        b_ref = rng.standard_normal((k, n))
-
     panels_shared: dict = {}
-    c_blocks: dict[int, np.ndarray] = {}
-    spans: dict[int, tuple[float, float]] = {}
 
-    def rank_fn(ctx):
-        a_loc = b_loc = c_loc = None
-        domain = ctx.machine.domain_of(ctx.rank)
-        if real and domain < pn * qn and ctx.rank == leaders[domain]:
+    def setup(ctx, ops):
+        blocks = (None, None, None)
+        domain = machine.domain_of(ctx.rank)
+        if ops is not None and domain < pn * qn:
             di, dj = dist_c.coords_of(domain)
-            a_loc = a_ref[dist_a.block_slices(di, dj)].copy()
-            b_loc = b_ref[dist_b.block_slices(di, dj)].copy()
-            c_loc = np.zeros(dist_c.block_shape(di, dj))
-            c_blocks[domain] = c_loc
             # Siblings write their C row-slices through load/store into
-            # the leader's block.
-            panels_shared[("c", domain)] = c_loc
-        yield from ctx.mpi.barrier()
-        t0 = ctx.now
-        yield from hierarchical_rank(ctx, dist_a, dist_b, dist_c, kb,
-                                     leaders, panels_shared,
-                                     a_loc, b_loc, c_loc, real=real)
-        spans[ctx.rank] = (t0, ctx.now)
+            # the domain's block; only the leader holds A and B.
+            c = ops.c[dist_c.block_slices(di, dj)]
+            blocks = (None, None, c)
+            if ctx.rank == leaders[domain]:
+                blocks = (ops.a[dist_a.block_slices(di, dj)],
+                          ops.b[dist_b.block_slices(di, dj)], c)
+        return hierarchical_rank(ctx, dist_a, dist_b, dist_c, kb, leaders,
+                                 panels_shared, *blocks)
 
-    run = run_parallel(machine, None, rank_fn, interference=interference,
-                       faults=faults)
-    elapsed = (max(sp[1] for sp in spans.values())
-               - min(sp[0] for sp in spans.values()))
-    gflops = 2.0 * m * n * k / elapsed / 1e9 if elapsed > 0 else float("inf")
-    result = HierarchicalResult(
-        elapsed=elapsed, gflops=gflops, m=m, n=n, k=k, nranks=nranks,
-        node_grid=(pn, qn), kb=kb, run=run)
-    if real:
-        c_full = np.zeros((m, n))
-        for domain, blk in c_blocks.items():
-            di, dj = dist_c.coords_of(domain)
-            c_full[dist_c.block_slices(di, dj)] = blk
-        result.c = c_full
-        if verify:
-            expected = a_ref @ b_ref
-            result.max_error = float(np.max(np.abs(c_full - expected)))
-            tol = 1e-8 * max(1, k)
-            if result.max_error > tol:
-                raise AssertionError(
-                    f"hierarchical result wrong: "
-                    f"max|err|={result.max_error:.3e} > tol={tol:.3e} "
-                    f"(m={m}, n={n}, k={k}, node grid={pn}x{qn})")
-    return result
+    return run_multiply("hierarchical", machine, nranks, m, n, k, (pn, qn),
+                        setup, payload=payload, verify=verify, seed=seed,
+                        interference=interference, faults=faults, kb=kb)

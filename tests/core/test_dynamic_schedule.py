@@ -83,12 +83,5 @@ def test_invalid_depth_rejected():
         SrummaOptions(pipeline_depth=0)
 
 
-def test_dynamic_synthetic_matches_real_timing():
-    real = srumma_multiply(LINUX_MYRINET, 8, 48, 48, 48, options=DYN)
-    synth = srumma_multiply(LINUX_MYRINET, 8, 48, 48, 48, options=DYN,
-                            payload="synthetic")
-    assert synth.elapsed == pytest.approx(real.elapsed, rel=1e-9)
-
-
 def test_describe_mentions_dynamic():
     assert "dyn" in DYN.describe()

@@ -168,32 +168,6 @@ def test_fast_forward_with_brownouts_matches_reference(soup):
             f"brownout divergence with modes {modes}"
 
 
-def test_fault_plan_brownout_identical_across_modes():
-    """End to end: a PR 4 ``FaultPlan`` brownout driven through a real
-    SRUMMA run lands mid-phase inside fast-forwarded intervals; the
-    degraded timeline must be bitwise identical with every mode off."""
-    from repro.core.api import srumma_multiply
-    from repro.machines import LINUX_MYRINET
-    from repro.sim.faults import FaultPlan, LinkBrownout
-
-    healthy = srumma_multiply(LINUX_MYRINET, 16, 384, 384, 384,
-                              payload="synthetic", verify=False)
-    plan = FaultPlan(brownouts=(
-        LinkBrownout(node=3, t_start=0.2 * healthy.elapsed,
-                     t_end=0.6 * healthy.elapsed, factor=0.1),))
-    runs = {}
-    for name, tuning in (("on", None),
-                         ("off", dict(batched_dispatch=False,
-                                      fast_forward=False,
-                                      aggregation=False))):
-        res = srumma_multiply(LINUX_MYRINET, 16, 384, 384, 384,
-                              payload="synthetic", verify=False,
-                              faults=plan, tuning=tuning)
-        runs[name] = res.elapsed
-    assert runs["on"] > healthy.elapsed  # the brownout actually bit
-    assert runs["on"] == runs["off"]     # bitwise, no tolerance
-
-
 class TestBrownoutInsideFastForwardedInterval:
     """The deterministic core case of the satellite: identical same-instant
     transfers merge into one carrier whose completion is one analytic jump
