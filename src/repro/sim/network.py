@@ -35,8 +35,11 @@ completion entries.  The default ``incremental`` allocator instead:
   changed, so an undisturbed flow's completion entry stays valid.
 
 ``allocator="reference"`` keeps the original full-recompute behaviour
-(every pass covers every active flow) under the same settle/reschedule
-discipline; the property test in
+(every pass covers every active flow) under the same pass triggers and
+settle/reschedule discipline.  The triggers must match: a pass that runs
+between two changes of one instant can move a rate away and back, and
+the extra settle at that instant changes ``rate * dt`` rounding.  The
+property test in
 ``tests/sim/test_network_equivalence.py`` cross-checks the two on
 randomized workloads bit-for-bit.  The invariants that make the scoped
 recomputation exact are written up in ``docs/performance.md``.
@@ -47,11 +50,13 @@ Two further (default-on, individually disableable) mechanisms make the
 allocator scale to thousands of ranks; both are *exact*, not approximate
 (see "Scaling to thousands of ranks" in ``docs/performance.md``):
 
-- ``aggregation``: progressive filling groups identical-path flows — which
-  are symmetric under max-min fairness and provably freeze together at the
-  same share — so a round's bookkeeping scales with distinct path classes,
-  and the bottleneck link is found through a lazily-invalidated min-heap
-  instead of a linear scan over every link in the component.
+- ``aggregation``: progressive filling works on persistent *routes* — one
+  per live path, holding every flow on it, which are symmetric under
+  max-min fairness and provably freeze together at the same share — so a
+  round's bookkeeping scales with distinct paths, and the bottleneck link
+  is found through a lazily-invalidated min-heap instead of a linear scan
+  over every link in the component.  Each pass also *replays* the
+  previous fill instead of redoing it (below).
 - ``fast_forward``: flows of one component whose newly allocated rates
   give bitwise-identical completion instants share a single scheduled
   *cohort* entry; the engine jumps straight to the closed-form completion
@@ -60,6 +65,56 @@ allocator scale to thousands of ranks; both are *exact*, not approximate
 
 ``allocator="reference"`` always runs with both modes off — it is the
 step-by-step oracle the property tests compare against.
+
+Replaying the last fill
+-----------------------
+A fill is the ordered list of its rounds: each round's bottleneck link
+froze the routes still unfrozen on it at one share.  Fills are kept, and
+a pass re-runs progressive filling only for the links *in play* — the
+dirty links (membership, weight or capacity changed since the last pass),
+the links of routes no fill has decided yet, and the links of every route
+re-decided on the way.  Every other round is replayed in O(1).  The result
+is bitwise that of filling the same components from scratch
+(:meth:`FlowNetwork._fill`, tie-breaks included) because:
+
+- **A clean link keeps its state.**  A link not in play has the same
+  routes, weights, capacity and order key as in the old fill, and every
+  route it carries that froze so far froze in a replayed round at its old
+  share.  So its residual and unfrozen count are the old fill's at the
+  same point of the round sequence.  The next old round whose bottleneck
+  is clean is therefore the smallest ``(share, key)`` among clean links,
+  and it competes with the links in play through one heap.  An old round
+  whose bottleneck is in play is superseded; the links its routes cross
+  enter play at that point, with the residual rebuilt from the rounds
+  replayed so far.
+- **The order key is the from-scratch tie-break.**  A link's key is the
+  smallest first-flow ``_seq`` among its routes, then the link's position
+  in that route's distinct links.  That is exactly the first-occurrence
+  order a from-scratch fill scans links in, restricted to any component.
+- **Each round is owned by the fill that last ran it.**  A pass walks
+  every fill owning a route on a link in play; all routes of one component
+  always belong to one fill, so the walk covers whole components.  The
+  walk consumes those fills: each of their rounds is replayed into the new
+  fill, superseded, or dropped, so no route refers to an older fill again
+  and a re-homed or superseded round is never met twice.  A round left
+  with no live route is skipped without side effects.
+- **A path that empties and reappears is a new route**, with no round,
+  so it is decided afresh.  A flow that joined through the uncontended
+  fast path gets its route when something first contends with it.
+- **One fill may span several components.**  Their rounds never touch
+  each other's links, so fills merge by taking the smaller
+  ``(share, key)`` head while keeping each fill's own order.
+- **A strictly dominated one-route link never bottlenecks.**  If a link
+  carries one route of weight ``w`` and ``bandwidth / w`` is strictly
+  greater than another link's on that route, it is left out: that other
+  link's residual only falls and its count stays at least ``w``, and IEEE
+  division is monotone, so its share is always strictly smaller.  A
+  capacity change elsewhere on the route can make such a link count
+  again, and it still cannot win early: every round taken before the
+  route's old round has a share no larger than the old dominating link's
+  ``bandwidth / w``, hence strictly below this link's; if that old round
+  is replayed it freezes the route, and if it is superseded the link
+  enters play right there.
 """
 
 from __future__ import annotations
@@ -73,6 +128,7 @@ from .engine import Engine, Event, SimulationError, _ScheduledCall
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _SEQ = operator.attrgetter("_seq")
+_FIRST = operator.itemgetter(0)
 
 __all__ = ["Link", "Flow", "FlowNetwork"]
 
@@ -91,7 +147,8 @@ def _flow_eps(flow: "Flow") -> float:
 class Link:
     """A directed link with fixed capacity in bytes/second."""
 
-    __slots__ = ("name", "bandwidth", "flows", "_bytes_carried", "_mark")
+    __slots__ = ("name", "bandwidth", "flows", "routes", "_bytes_carried",
+                 "_mark", "_res", "_cnt", "_key", "_ver")
 
     def __init__(self, name: str, bandwidth: float):
         if bandwidth <= 0:
@@ -102,8 +159,17 @@ class Link:
         # deterministic and independent of object addresses, or simulated
         # event ordering would vary with Python allocation history.
         self.flows: dict["Flow", None] = {}
+        # Live path classes crossing this link (grouped filling only).
+        self.routes: dict["_Route", None] = {}
         self._bytes_carried = 0.0
         self._mark = 0  # visited stamp for component walks (see _scope_flows)
+        # Progressive-filling state while the link is in play in a fill
+        # (see FlowNetwork._refill): residual capacity, unfrozen weight,
+        # order key and heap-entry version.
+        self._res = 0.0
+        self._cnt = 0
+        self._key = 0
+        self._ver = 0
 
     @property
     def bytes_carried(self) -> float:
@@ -130,7 +196,7 @@ class Flow:
     __slots__ = (
         "size", "remaining", "path", "rate", "done", "started_at",
         "_sched", "_last_update", "_seq", "label", "_mark",
-        "weight", "fanout",
+        "weight", "fanout", "route",
     )
 
     def __init__(self, size: float, path: Sequence[Link], done: Event, label: str = ""):
@@ -147,10 +213,66 @@ class Flow:
         self._mark = 0  # visited stamp for component walks (see _scope_flows)
         self.weight = 1
         self.fanout: Optional[list] = None  # [(seq, done, label), ...] when merged
+        self.route: Optional[_Route] = None  # its path class (grouped filling)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Flow {self.label!r} {self.remaining:.0f}/{self.size:.0f}B "
                 f"@{self.rate:.3g}B/s>")
+
+
+# A link's order key packs (first flow seq of its earliest route, position in
+# that route's distinct links) into one int; positions stay below the stride.
+_KEY_STRIDE = 1 << 16
+
+
+class _Route:
+    """Every live flow on one path tuple: the unit grouped filling works in.
+
+    Identical-path flows are symmetric under max-min fairness, so they
+    freeze in one round at one ``share``.  A route lives as long as one of
+    its flows does; a path that empties and later reappears gets a new
+    route.  ``round`` is the round that last froze it (``None`` until a
+    fill decides it), ``flows`` is kept in ``_seq`` order.
+    """
+
+    __slots__ = ("path", "links", "dups", "weight", "flows", "share",
+                 "round", "touch")
+
+    def __init__(self, path: tuple, links: tuple, dups: bool):
+        self.path = path
+        self.links = links    # distinct links, path order
+        self.dups = dups      # path repeats a link
+        self.weight = 0       # member transfers over all flows
+        self.flows: dict[Flow, None] = {}
+        self.share = 0.0
+        self.round: Optional[_Round] = None
+        self.touch = 0        # fill stamp: crosses a link re-decided in it
+
+
+class _Round:
+    """One progressive-filling round, kept so later fills can replay it.
+
+    ``link`` froze ``routes`` at ``share``; ``key`` is the link's order key
+    then.  ``owner`` is the fill (round list) that last executed it;
+    ``seq`` orders rounds across fills; ``live``
+    counts member routes still alive; ``agg`` is the weight of its
+    multi-transfer routes (for ``flows_aggregated``).
+    """
+
+    __slots__ = ("share", "key", "link", "routes", "owner", "seq", "live",
+                 "agg", "touch")
+
+    def __init__(self, share: float, key: int, link: Link, owner: list,
+                 seq: int):
+        self.share = share
+        self.key = key
+        self.link = link
+        self.routes: list[_Route] = []
+        self.owner = owner
+        self.seq = seq
+        self.live = 0
+        self.agg = 0
+        self.touch = 0
 
 
 class _Cohort:
@@ -249,14 +371,10 @@ class FlowNetwork:
         self._merge = fast_forward and aggregation
         # Flows started since the last flush — the merge candidates.
         self._fresh: list[Flow] = []
-        # Cache of per-path (distinct links, has-duplicates) facts; path
-        # tuples recur across thousands of passes.
-        self._path_info: dict[tuple, tuple[tuple, bool]] = {}
-        # Registry insertion order stops matching _seq order once a
-        # carrier's first member aborts (the carrier inherits the next
-        # member's seq but keeps its registry slot); the _scope_flows
-        # filter shortcut is disabled from then on.
-        self._seq_order_dirty = False
+        # Grouped filling's persistent state (see _refill): the live route
+        # of each path and the global round counter.
+        self._routes: dict[tuple, _Route] = {}
+        self._round_seq = 0
         # Insertion-ordered registry of active flows (see Link.flows).
         self._flows: dict[Flow, None] = {}
         self.completed_flows = 0
@@ -358,6 +476,11 @@ class FlowNetwork:
         # of shared links) can change rate; an idle link just carries the
         # new capacity forward to future joins.
         if link.flows:
+            if self.aggregation:
+                for flow in link.flows:
+                    if flow.route is None:  # alone here: joined uncontended
+                        self._enroll(flow).share = flow.rate
+                    break
             self._mark_dirty([link])
 
     def abort(self, done: Event) -> bool:
@@ -388,8 +511,7 @@ class FlowNetwork:
         self._settle_flow(flow)
         self._remove(flow, completed=False)
         self.aborted_flows += 1
-        if (self.allocator == "reference"
-                or any(link.flows for link in flow.path)):
+        if any(link.flows for link in flow.path):
             self._mark_dirty(flow.path)
         return True
 
@@ -415,11 +537,14 @@ class FlowNetwork:
                 link._bytes_carried += moved
         fo.pop(i)
         flow.weight -= 1
+        route = flow.route
+        route.weight -= 1
         if i == 0:
             # The carrier's identity (seq, done, label) tracks its first
-            # surviving member so scope ordering matches stepped mode.
+            # surviving member so scope ordering matches stepped mode; its
+            # route keeps its flows in that order.
             flow._seq, flow.done, flow.label = fo[0]
-            self._seq_order_dirty = True
+            route.flows = dict.fromkeys(sorted(route.flows, key=_SEQ))
         self.aborted_flows += 1
         self._mark_dirty(flow.path)
         return True
@@ -433,24 +558,61 @@ class FlowNetwork:
         flow._seq = self._flow_seq
         self._flow_seq += 1
         self._flows[flow] = None
-        if (self.allocator == "incremental"
-                and not any(link.flows for link in flow.path)):
+        path = flow.path
+        if not any(link.flows for link in path):
             # Disjoint uncontended join: no existing flow shares any link
             # with this one, so no existing rate can change, and this
             # flow's max-min rate is exactly its path's bottleneck
             # bandwidth (the singleton fair share bw/1 == bw).  Skip the
-            # reallocation pass entirely.
-            for link in flow.path:
+            # reallocation pass entirely.  The flow gets no route until
+            # something contends with it (see _join_route).
+            for link in path:
                 link.flows[flow] = None
-            flow.rate = min(link.bandwidth for link in flow.path)
+            flow.rate = min(link.bandwidth for link in path)
             flow._sched = self.engine._schedule(
                 flow.remaining / flow.rate, lambda: self._finish_flow(flow))
             return
-        for link in flow.path:
+        if self.aggregation:
+            self._join_route(flow)
+        for link in path:
             link.flows[flow] = None
         if self._merge:
             self._fresh.append(flow)
-        self._mark_dirty(flow.path)
+        self._mark_dirty(path)
+
+    def _join_route(self, flow: Flow) -> None:
+        """Put a contending flow on its path's route.
+
+        A flow that joined through the uncontended fast path has no route
+        and is alone on every link it crosses, so any flow found alone on
+        one of this flow's links gets its route here, undecided, at its
+        fast-path rate.  Routes thus cost nothing on traffic that never
+        contends.
+        """
+        for link in flow.path:
+            if len(link.flows) == 1:
+                for other in link.flows:
+                    if other.route is None:
+                        self._enroll(other).share = other.rate
+        self._enroll(flow)
+
+    def _enroll(self, flow: Flow) -> _Route:
+        path = flow.path
+        route = self._routes.get(path)
+        if route is None:
+            links = path
+            dups = len(path) > 1 and len(set(path)) != len(path)
+            if dups:
+                links = tuple(dict.fromkeys(path))
+            if len(links) >= _KEY_STRIDE:
+                raise ValueError(f"path of {len(links)} links is too long")
+            route = self._routes[path] = _Route(path, links, dups)
+            for link in links:
+                link.routes[route] = None
+        route.flows[flow] = None
+        route.weight += flow.weight
+        flow.route = route
+        return route
 
     def _finish_flow(self, flow: Flow) -> None:
         if flow not in self._flows:
@@ -462,8 +624,7 @@ class FlowNetwork:
                 f"flow {flow.label!r} finished with {flow.remaining} bytes left")
         self._remove(flow)
         flow.done.succeed(flow.size)
-        if (self.allocator == "reference"
-                or any(link.flows for link in flow.path)):
+        if any(link.flows for link in flow.path):
             # Departure frees capacity for whoever shared these links; a
             # flow that was alone on its whole path affects nobody.
             self._mark_dirty(flow.path)
@@ -488,6 +649,18 @@ class FlowNetwork:
         self._flows.pop(flow, None)
         for link in flow.path:
             link.flows.pop(flow, None)
+        route = flow.route
+        if route is not None and flow in route.flows:
+            del route.flows[flow]
+            route.weight -= flow.weight
+            if not route.flows:
+                # The path emptied: retire its route, so a later flow on
+                # the same path starts a new one.
+                del self._routes[route.path]
+                for link in route.links:
+                    del link.routes[route]
+                if route.round is not None:
+                    route.round.live -= 1
         self._cancel_sched(flow)
         if completed:
             self.completed_flows += flow.weight
@@ -594,9 +767,13 @@ class FlowNetwork:
         if self._fresh:
             self._merge_fresh()
         dirty, self._dirty = self._dirty, {}
+        grouped = self.aggregation
         while dirty:
-            scope = self._scope_flows(dirty)
-            drained = self._allocate(scope) if scope else ()
+            if grouped:
+                drained = self._refill(dirty)
+            else:
+                scope = self._scope_flows(dirty)
+                drained = self._allocate(scope) if scope else ()
             # A flow that settled to zero during the pass was removed
             # mid-allocation; its departure frees capacity, so re-run on
             # the links it vacated (same instant, usually empty).
@@ -643,6 +820,8 @@ class FlowNetwork:
                 del flows[m]
                 for link in m.path:
                     del link.flows[m]
+                # The route already counts the member in its weight.
+                del m.route.flows[m]
 
     def _scope_flows(self, dirty: dict[Link, None]) -> list[Flow]:
         """Flows whose rates the pending membership changes could affect.
@@ -672,33 +851,24 @@ class FlowNetwork:
                         if other._mark != stamp:
                             other._mark = stamp
                             stack.append(other)
-        if (self.aggregation and not self._seq_order_dirty
-                and len(found) * 4 >= len(self._flows)):
-            # The registry is insertion-ordered and flows are never
-            # re-registered, so filtering it against the component IS the
-            # ``_seq`` sort — and for components spanning most of the
-            # registry a linear filter beats an O(k log k) sort.
-            return [f for f in self._flows if f._mark == stamp]
         found.sort(key=_SEQ)
         return found
 
     def _allocate(self, scope: list[Flow]) -> list[Flow]:
-        """Progressive-filling max-min fair rates over ``scope``.
+        """Flat progressive filling over ``scope`` (the oracles' pass)."""
+        self.reallocations += 1
+        self.realloc_flow_touches += len(scope)
+        rates = self._fill(scope)
+        return self._reschedule(scope, [rates.get(f, 0.0) for f in scope])
+
+    def _reschedule(self, scope: list[Flow], rates: list[float]) -> list[Flow]:
+        """Give each flow of ``scope`` (in ``_seq`` order) its new rate.
 
         Settles and reschedules only flows whose allocation changed; an
         undisturbed flow's completion entry stays valid, so the engine heap
         is not flooded with cancellations.  Returns flows that settled to
         zero and completed during the pass.
         """
-        self.reallocations += 1
-        self.realloc_flow_touches += len(scope)
-
-        # Grouped filling returns one share per path class (identical-path
-        # flows provably share a rate); the flat pass returns per-flow.
-        agg = self.aggregation
-        shares = self._fill_grouped(scope) if agg else self._fill(scope)
-        get_share = shares.get
-
         engine = self.engine
         drained: list[Flow] = []
         ff = self.fast_forward
@@ -710,11 +880,10 @@ class FlowNetwork:
         # order the one-flow-per-member stepped loop would produce.
         sink: dict[Link, list] = {}
         pending: list = []
-        for flow in scope:
+        for flow, rate in zip(scope, rates):
             while pending and pending[0][0] < flow._seq:
                 _s, done, size = _heappop(pending)
                 done.succeed(size)
-            rate = get_share(flow.path, 0.0) if agg else get_share(flow, 0.0)
             if rate <= 0:
                 raise SimulationError(
                     f"flow {flow.label!r} allocated zero rate — disconnected path?")
@@ -804,145 +973,268 @@ class FlowNetwork:
             link_unfrozen[bottleneck].clear()
         return rates
 
-    def _fill_grouped(self, scope: list[Flow]) -> dict[tuple, float]:
-        """Progressive filling over identical-path groups; exact vs ``_fill``.
+    # -- grouped filling --------------------------------------------------
+    def _refill(self, dirty: dict[Link, None]) -> list[Flow]:
+        """Grouped progressive filling over the dirty links' components.
 
-        Identical-path flows are symmetric under max-min fairness — same
-        constraint set, so they freeze in the same round at the same share
-        — which lets *all* per-round bookkeeping run per path class
-        instead of per flow: the return value maps each path class to its
-        share, and the only per-flow work in the whole pass is the initial
-        two-dict-op grouping.  Bitwise equivalence to :meth:`_fill` rests
-        on four facts: (1) shares are computed as ``residual / count``
-        with ``count`` the same per-flow membership total the flat pass
-        uses; (2) within one round every frozen flow subtracts the *same*
-        ``best_share``, so regrouping the per-member subtractions by path
-        class leaves each link's (sequential, same-value) subtraction
-        chain — and hence its residual bits — unchanged; (3) the
-        bottleneck is chosen by min ``(share, first-occurrence index)``
-        through a lazily re-keyed heap, which is exactly the flat pass's
-        first-strict-win linear scan; (4) registering links per group in
-        group-insertion order reproduces the flat pass's first-occurrence
-        order, because a link's earliest carrier group is by definition
-        the group of the earliest scope flow whose path contains it.
+        Works per route (path class) and *replays* the previous fill:
+        every old round whose bottleneck link is clean is taken again in
+        O(1) at its old ``(share, key)``, and progressive filling runs only
+        for the links in play — the dirty ones, the links of routes no fill
+        has decided yet, and the links of routes re-decided on the way —
+        which compete with the replayed rounds through one heap.  Routes
+        that no fill has decided yet put all their links in play, so a
+        brand-new component is filled from scratch by the same loop.
+
+        Exact versus :meth:`_fill`: a link's share is ``residual / count``
+        with ``count`` the same per-transfer total the flat pass uses, and
+        within one round every frozen transfer subtracts the same share,
+        so grouping the subtractions by route (``weight`` times, once per
+        crossing) leaves each link's subtraction chain — and its residual
+        bits — unchanged.  The module docstring says why the replay is.
         """
-        if len(scope) == 1:
-            # Singleton component: one path class, so the bottleneck is
-            # min over links of bandwidth/weight.  Division by a positive
-            # count is monotone and ties share one value, so taking min
-            # before dividing is bitwise the flat pass's scan.
-            f0 = scope[0]
-            w = f0.weight
-            bw = min(link.bandwidth for link in f0.path)
-            if w > 1:
-                self.flows_aggregated += w
-                return {f0.path: bw / w}
-            return {f0.path: bw}
-
-        groups: dict[tuple[Link, ...], int] = {}
-        total = 0
-        for f in scope:
-            p = f.path
-            w = f.weight
-            total += w
-            groups[p] = groups.get(p, 0) + w
-
-        # Link tables in the flat pass's first-occurrence order, built per
-        # path class (weight ``w``), never per flow.
-        residual: dict[Link, float] = {}
-        order: dict[Link, int] = {}
-        link_count: dict[Link, int] = {}
-        link_groups: dict[Link, dict[tuple[Link, ...], None]] = {}
-        ginfo: dict[tuple[Link, ...], tuple[int, tuple, bool]] = {}
-        path_info = self._path_info
-        aggregated = 0
-        for path, w in groups.items():
-            if w > 1:
-                aggregated += w
-            cached = path_info.get(path)
-            if cached is None:
-                distinct = path
-                dups = False
-                if len(path) > 1 and len(set(path)) != len(path):
-                    distinct = tuple(dict.fromkeys(path))
-                    dups = True
-                cached = path_info[path] = (distinct, dups)
-            distinct, dups = cached
-            ginfo[path] = (w, distinct, dups)
-            for link in distinct:
-                cnt = link_count.get(link)
-                if cnt is None:
-                    residual[link] = link.bandwidth
-                    order[link] = len(order)
-                    link_count[link] = w
-                    link_groups[link] = {path: None}
+        self._scope_stamp += 1
+        stamp = self._scope_stamp
+        work = [link for link in dirty if link.routes]
+        if not work:
+            return ()
+        self.reallocations += 1
+        for link in work:
+            link._mark = stamp
+        base = self._round_seq
+        # Close the set of links in play: add the links of undecided
+        # routes, and collect the fills that own every other route met.
+        fills: dict[int, list] = {}
+        i = 0
+        while i < len(work):
+            for route in work[i].routes:
+                rnd = route.round
+                if rnd is None:
+                    for link in route.links:
+                        if link._mark != stamp:
+                            link._mark = stamp
+                            work.append(link)
                 else:
-                    link_count[link] = cnt + w
-                    link_groups[link][path] = None
-        self.flows_aggregated += aggregated
+                    fills[id(rnd.owner)] = rnd.owner
+            i += 1
+        stream = _old_rounds(fills.values()) if fills else ()
 
-        heap: list[tuple[float, int, int, Link]] = []
-        version: dict[Link, int] = {}
-        for link, cnt in link_count.items():
-            version[link] = 0
-            _heappush(heap, (residual[link] / cnt, order[link], 0, link))
-
-        shares: dict[tuple, float] = {}
-        remaining = total
-        while remaining:
-            bottleneck = None
+        heap = []
+        for link in work:
+            if self._arm(link, stamp, base):
+                heap.append((link._res / link._cnt, link._key, 0, link))
+        heapq.heapify(heap)
+        push = _heappush
+        pop = _heappop
+        fill: list[_Round] = []
+        redecided: list[_Route] = []
+        seq = base
+        agg = 0
+        n = len(stream)
+        i = 0
+        top = None
+        while True:
             while heap:
-                best_share, _idx, ver, link = _heappop(heap)
-                if ver == version[link] and link_count[link] > 0:
-                    bottleneck = link
+                top = heap[0]
+                link = top[3]
+                if top[2] == link._ver and link._cnt:
                     break
-            if bottleneck is None:
-                break  # all remaining flows have no constraining link
+                pop(heap)
+            if i < n:
+                rnd = stream[i]
+                if not heap or rnd.share < top[0] or (
+                        rnd.share == top[0] and rnd.key < top[1]):
+                    i += 1
+                    neck = rnd.link
+                    if neck._mark == stamp:
+                        # Superseded: its bottleneck is in play.  Its routes
+                        # not yet re-decided will freeze elsewhere, so the
+                        # links they cross leave the old sequence here.
+                        for route in rnd.routes:
+                            if route.weight and route.round.seq <= base:
+                                for link in route.links:
+                                    if (link._mark != stamp
+                                            and self._arm(link, stamp, base)):
+                                        push(heap, (link._res / link._cnt,
+                                                    link._key, 0, link))
+                        continue
+                    # Replay: same share, same routes, now in this fill.
+                    seq += 1
+                    rnd.seq = seq
+                    rnd.owner = fill
+                    fill.append(rnd)
+                    agg += rnd.agg
+                    if rnd.touch == stamp:
+                        share = rnd.share
+                        for route in rnd.routes:
+                            if route.touch != stamp:
+                                continue
+                            w = route.weight
+                            for link in route.links:
+                                if (link is neck or link._mark != stamp
+                                        or not link._cnt):
+                                    continue
+                                r = link._res
+                                for _ in range(route.path.count(link) * w
+                                               if route.dups else w):
+                                    r -= share
+                                link._res = r
+                                cnt = link._cnt - w
+                                link._cnt = cnt
+                                if cnt:
+                                    ver = link._ver + 1
+                                    link._ver = ver
+                                    push(heap, (r / cnt, link._key, ver, link))
+                    continue
+            elif not heap:
+                break
+            # A link in play is the bottleneck: re-decide its routes.
+            share, key, _v, neck = pop(heap)
+            seq += 1
+            rnd = _Round(share, key, neck, fill, seq)
+            fill.append(rnd)
+            members = rnd.routes
             changed: dict[Link, None] = {}
-            for path in list(link_groups[bottleneck]):
-                w, distinct, dups = ginfo[path]
-                shares[path] = best_share
-                if dups:
-                    # Raw path order, one subtraction per member per
-                    # occurrence — the same count of identical-value
-                    # subtractions the flat pass applies.
-                    for link in path:
-                        if link is not bottleneck:
-                            r = residual[link]
-                            for _ in range(w):
-                                r -= best_share
-                            residual[link] = r
-                    for link in distinct:
-                        if link is not bottleneck:
-                            link_count[link] -= w
-                            del link_groups[link][path]
-                            changed[link] = None
-                elif w == 1:
-                    for link in distinct:
-                        if link is not bottleneck:
-                            residual[link] -= best_share
-                            link_count[link] -= 1
-                            del link_groups[link][path]
-                            changed[link] = None
-                else:
-                    for link in distinct:
-                        if link is not bottleneck:
-                            r = residual[link]
-                            for _ in range(w):
-                                r -= best_share
-                            residual[link] = r
-                            link_count[link] -= w
-                            del link_groups[link][path]
-                            changed[link] = None
-                remaining -= w
-            residual[bottleneck] = 0.0
-            link_count[bottleneck] = 0
-            link_groups[bottleneck].clear()
+            for route in neck.routes:
+                old = route.round
+                if old is not None and old.seq > base:
+                    continue  # already frozen in this fill
+                route.round = rnd
+                members.append(route)
+                w = route.weight
+                if w > 1:
+                    rnd.agg += w
+                for link in route.links:
+                    if link is neck:
+                        continue
+                    if link._mark != stamp:
+                        if len(link.routes) == 1:
+                            # Its one route just froze: nothing left to
+                            # compete with.
+                            link._mark = stamp
+                            link._cnt = 0
+                            continue
+                        # Counts this route as frozen in this round.
+                        self._arm(link, stamp, base)
+                    elif link._cnt:
+                        r = link._res
+                        for _ in range(route.path.count(link) * w
+                                       if route.dups else w):
+                            r -= share
+                        link._res = r
+                        link._cnt -= w
+                    else:
+                        continue
+                    changed[link] = None
+            rnd.live = len(members)
+            agg += rnd.agg
+            redecided += members
+            neck._cnt = 0
             for link in changed:
-                cnt = link_count[link]
-                if cnt > 0:
-                    ver = version[link] + 1
-                    version[link] = ver
-                    _heappush(heap,
-                              (residual[link] / cnt, order[link], ver, link))
-        return shares
+                cnt = link._cnt
+                if cnt:
+                    ver = link._ver + 1
+                    link._ver = ver
+                    push(heap, (link._res / cnt, link._key, ver, link))
+        self._round_seq = seq
+        self.flows_aggregated += agg
+        self.realloc_flow_touches += n + len(redecided)
+
+        flows: list[Flow] = []
+        for route in redecided:
+            share = route.round.share
+            if share != route.share:
+                route.share = share
+                flows += route.flows
+            else:
+                for flow in route.flows:
+                    if flow._sched is None:
+                        flows.append(flow)
+        if not flows:
+            return ()
+        flows.sort(key=_SEQ)
+        return self._reschedule(flows, [f.route.share for f in flows])
+
+    @staticmethod
+    def _arm(link: Link, stamp: int, base: int) -> bool:
+        """Bring ``link`` into play at this point of the current fill.
+
+        Until now the link was clean, so its state is the replayed rounds':
+        the residual is its bandwidth minus, round by round, the shares of
+        its routes frozen so far in this fill (all replayed, at their old
+        shares).  Returns whether unfrozen weight remains to compete.
+        """
+        link._mark = stamp
+        link._ver = 0
+        routes = link.routes
+        if len(routes) == 1:
+            for route in routes:
+                w = route.weight
+                if link.bandwidth / w > min(
+                        [other.bandwidth for other in route.links]) / w:
+                    # Never the bottleneck: its one route's weight is also
+                    # counted on a tighter link whose residual only falls.
+                    link._cnt = 0
+                    return False
+        cnt = 0
+        key = -1
+        frozen = None
+        for route in routes:
+            k = (next(iter(route.flows))._seq * _KEY_STRIDE
+                 + route.links.index(link))
+            if key < 0 or k < key:
+                key = k
+            rnd = route.round
+            if rnd is not None and rnd.seq > base:
+                if frozen is None:
+                    frozen = []
+                frozen.append((rnd.seq, rnd.share,
+                               route.path.count(link) * route.weight
+                               if route.dups else route.weight))
+            else:
+                cnt += route.weight
+                route.touch = stamp
+                if rnd is not None:
+                    rnd.touch = stamp
+        res = link.bandwidth
+        if frozen is not None:
+            frozen.sort(key=_FIRST)
+            for _seq, share, times in frozen:
+                for _ in range(times):
+                    res -= share
+        link._res = res
+        link._cnt = cnt
+        link._key = key
+        return cnt > 0
+
+
+def _old_rounds(fills) -> list[_Round]:
+    """The rounds of ``fills`` that still freeze a live route, merged by
+    ``(share, key)``.
+
+    Each fill's own order is kept (its rounds ran in that order); across
+    fills — disjoint link sets — the merge takes the smaller head, so the
+    clean link with the smallest ``(share, key)`` always comes first.
+    Rounds left with no live route are skipped without touching them.
+    """
+    lists = []
+    for fill in fills:
+        valid = [rnd for rnd in fill if rnd.live]
+        if valid:
+            lists.append(valid)
+    if len(lists) == 1:
+        return lists[0]
+    heads = [(lst[0].share, lst[0].key, j, 0) for j, lst in enumerate(lists)]
+    heapq.heapify(heads)
+    merged = []
+    while heads:
+        _s, _k, j, pos = heads[0]
+        lst = lists[j]
+        merged.append(lst[pos])
+        pos += 1
+        if pos < len(lst):
+            nxt = lst[pos]
+            heapq.heapreplace(heads, (nxt.share, nxt.key, j, pos))
+        else:
+            _heappop(heads)
+    return merged
